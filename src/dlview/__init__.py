@@ -13,7 +13,7 @@ from .core import (
     node_level,
 )
 from .detect import DetectorConfig, FlagKind, FlagRecord, scan_tree
-from .extract import attach_phantom_root, extract_binary_tree
+from .extract import extract_binary_tree
 from .ingest import parse_dltree, parse_vess, serialize_dltree, serialize_vess
 from .layout import DlLayout, LayoutConfig, build_layout, color_bin, y_coordinate
 from .render import RenderOptions, render_svg

@@ -9,6 +9,7 @@ error, 2 usage error, 3 scan found flags.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -65,9 +66,14 @@ def _load_corpus(directory: Path) -> dict[tuple[str, str], BinaryTree]:
     if not paths:
         raise DataError(f"no .dltree files in {directory}")
     corpus = {}
+    source = {}
     for p in paths:
         tree = _load_tree(p)
-        corpus[(tree.subject_id, tree.region.value)] = tree
+        key = (tree.subject_id, tree.region.value)
+        if key in corpus:
+            raise DataError(f"{source[key]} and {p} both hold tree {key[0]}/{key[1]}")
+        corpus[key] = tree
+        source[key] = p
     return corpus
 
 
@@ -75,9 +81,11 @@ def _tree_filename(tree: BinaryTree) -> str:
     return f"{tree.subject_id}_{tree.region.value}.dltree"
 
 
-def _read_config(path: Path | None) -> dict[str, str]:
+def _read_config(path: Path | None) -> dict[str, int | float]:
+    """Detector settings from `key = value` lines, keyed by DetectorConfig field."""
     if path is None:
         return {}
+    types = {f.name: f.type for f in fields(DetectorConfig)}
     values = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -85,25 +93,27 @@ def _read_config(path: Path | None) -> dict[str, str]:
             continue
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in types:
+            raise DataError(f"{path}:{lineno}: unknown key {key!r} "
+                            f"(expected one of {', '.join(types)})")
+        try:
+            values[key] = int(value) if types[key] == "int" else float(value)
+            if not math.isfinite(values[key]):
+                raise ValueError("not a finite number")
+            replace(DetectorConfig(), **{key: values[key]})
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: bad value {value!r} for {key}: {e}")
     return values
 
 
-def _detector_config(cfg: dict[str, str], args) -> DetectorConfig:
-    config = DetectorConfig()
-    kwargs = {}
+def _detector_config(cfg: dict[str, int | float], args) -> DetectorConfig:
+    kwargs = dict(cfg)
     for f in fields(DetectorConfig):
-        if f.name in cfg:
-            kwargs[f.name] = _cast(f, cfg[f.name])
         flag = getattr(args, f.name, None)
         if flag is not None:
             kwargs[f.name] = flag
-    return replace(config, **kwargs) if kwargs else config
-
-
-def _cast(f, raw: str):
-    return int(raw) if f.type == "int" else float(raw)
+    return DetectorConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------

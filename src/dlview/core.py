@@ -1,6 +1,14 @@
 """Shared domain types for vessel graphs and the binary component trees.
 
 Everything here is immutable after construction; tree edits build new trees.
+
+Per-node subtree quantities come from one preorder interval index per tree
+(`BinaryTree.preorder`, built on first use and then cached).  Nodes are
+numbered in preorder, left before right, so the root is 0 and every parent
+precedes its children.  With size[i] the node count of the subtree under
+node i (the node included), that subtree is exactly the slice
+[i, i + size[i]) of the preorder arrays; the left child, if any, sits at
+i + 1 and the right child at i + 1 + size of the left subtree.
 """
 
 from __future__ import annotations
@@ -8,7 +16,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Iterator, NamedTuple, Optional
 
 
 class Region(enum.Enum):
@@ -68,10 +77,26 @@ class RawVesselGraph:
     edges: frozenset[tuple[str, str]]  # (parent_sid, child_sid)
     roots: tuple[str, ...]
 
-    def children_of(self, sid: str) -> list[str]:
-        return sorted((c for p, c in self.edges if p == sid), key=_id_sort_key)
+    def __post_init__(self):
+        children: dict[str, list[str]] = {}
+        for p, c in self.edges:
+            children.setdefault(p, []).append(c)
+        object.__setattr__(self, "_children", {
+            p: tuple(sorted(kids, key=_id_sort_key)) for p, kids in children.items()
+        })
+        object.__setattr__(self, "_validated", False)
+
+    def children_of(self, sid: str) -> tuple[str, ...]:
+        """Child segment ids, sorted by id."""
+        return self._children.get(sid, ())
 
     def validate(self) -> None:
+        """Raise ValueError unless the edges form a forest under `roots`.
+
+        A graph that passed once is not checked again.
+        """
+        if self._validated:
+            return
         parent: dict[str, str] = {}
         for p, c in self.edges:
             if p not in self.segments or c not in self.segments:
@@ -88,9 +113,6 @@ class RawVesselGraph:
                 raise ValueError(f"root {r!r} has a parent")
         # cycle + reachability: every segment reachable from exactly one root
         seen: set[str] = set()
-        children: dict[str, list[str]] = {}
-        for p, c in self.edges:
-            children.setdefault(p, []).append(c)
         for r in self.roots:
             stack = [r]
             while stack:
@@ -98,10 +120,11 @@ class RawVesselGraph:
                 if s in seen:
                     raise ValueError(f"segment {s!r} reachable twice (cycle or shared)")
                 seen.add(s)
-                stack.extend(children.get(s, ()))
+                stack.extend(self._children.get(s, ()))
         unreachable = set(self.segments) - seen
         if unreachable:
             raise ValueError(f"segments not reachable from any root: {sorted(unreachable)}")
+        object.__setattr__(self, "_validated", True)
 
 
 def _id_sort_key(sid: str):
@@ -135,6 +158,15 @@ class BinaryNode:
         return self.left is None and self.right is None
 
 
+class PreorderIndex(NamedTuple):
+    """Per-node arrays of one tree, indexed by preorder position."""
+
+    nodes: list[BinaryNode]
+    parent: list[int]  # -1 for the root
+    level: list[int]   # the root sits at level 0
+    size: list[int]    # nodes in the subtree, the node itself included
+
+
 @dataclass(frozen=True)
 class BinaryTree:
     subject_id: str
@@ -143,74 +175,83 @@ class BinaryTree:
     node_count: int = field(default=0)
 
     def __post_init__(self):
-        index: dict[str, BinaryNode] = {}
-        parents: dict[str, Optional[str]] = {self.root.node_id: None}
-        for node in _iter_preorder(self.root):
-            if node.node_id in index:
+        nodes: list[BinaryNode] = []
+        position: dict[str, int] = {}
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node.node_id in position:
                 raise ValueError(f"duplicate node_id {node.node_id!r}")
-            index[node.node_id] = node
-            for c in node.children:
-                parents[c.node_id] = node.node_id
+            position[node.node_id] = len(nodes)
+            nodes.append(node)
+            if node.right is not None:
+                stack.append(node.right)
+            if node.left is not None:
+                stack.append(node.left)
         if self.node_count == 0:
-            object.__setattr__(self, "node_count", len(index))
-        elif self.node_count != len(index):
+            object.__setattr__(self, "node_count", len(nodes))
+        elif self.node_count != len(nodes):
             raise ValueError(
-                f"node_count {self.node_count} != reachable nodes {len(index)}"
+                f"node_count {self.node_count} != reachable nodes {len(nodes)}"
             )
         if self.root.thickness is None and len(self.root.children) != 2:
             raise ValueError("phantom root must have exactly 2 children")
-        for node in index.values():
-            if node is not self.root and node.thickness is None:
+        for node in nodes:
+            if node.thickness is None and node is not self.root:
                 raise ValueError(f"non-root node {node.node_id!r} lacks thickness")
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_parent", parents)
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_position", position)
 
-    def node(self, node_id: str) -> BinaryNode:
+    @cached_property
+    def preorder(self) -> PreorderIndex:
+        """The preorder interval index (see the module docstring)."""
+        nodes = self._nodes
+        n = len(nodes)
+        parent = [-1] * n
+        level = [0] * n
+        for i, node in enumerate(nodes):
+            for c in (node.left, node.right):
+                if c is not None:
+                    j = self._position[c.node_id]
+                    parent[j] = i
+                    level[j] = level[i] + 1
+        size = [1] * n
+        for i in range(n - 1, 0, -1):
+            size[parent[i]] += size[i]
+        return PreorderIndex(nodes, parent, level, size)
+
+    def position(self, node_id: str) -> int:
+        """Preorder position of the node."""
         try:
-            return self._index[node_id]
+            return self._position[node_id]
         except KeyError:
             raise UnknownNodeError(
                 f"node {node_id!r} not in tree {self.subject_id}/{self.region.value}"
             )
 
+    def node(self, node_id: str) -> BinaryNode:
+        return self._nodes[self.position(node_id)]
+
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self._index
+        return node_id in self._position
 
     def parent_id(self, node_id: str) -> Optional[str]:
-        self.node(node_id)
-        return self._parent[node_id]
+        p = self.preorder.parent[self.position(node_id)]
+        return None if p < 0 else self._nodes[p].node_id
 
     def nodes(self) -> Iterator[BinaryNode]:
         """Pre-order traversal, left before right."""
-        return _iter_preorder(self.root)
-
-
-def _iter_preorder(node: BinaryNode) -> Iterator[BinaryNode]:
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        yield n
-        if n.right is not None:
-            stack.append(n.right)
-        if n.left is not None:
-            stack.append(n.left)
+        return iter(self._nodes)
 
 
 def descendant_count(tree: BinaryTree, node_id: str) -> int:
     """Number of proper descendants of the node (the node itself excluded)."""
-    node = tree.node(node_id)
-    return sum(1 for _ in _iter_preorder(node)) - 1
+    return tree.preorder.size[tree.position(node_id)] - 1
 
 
 def node_level(tree: BinaryTree, node_id: str) -> int:
     """Depth of the node; the root sits at level 0."""
-    tree.node(node_id)
-    level = 0
-    cur = tree.parent_id(node_id)
-    while cur is not None:
-        level += 1
-        cur = tree.parent_id(cur)
-    return level
+    return tree.preorder.level[tree.position(node_id)]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import enum
 import statistics
 from dataclasses import dataclass
 
-from .core import BinaryNode, BinaryTree
+from .core import BinaryTree
 
 
 class FlagKind(enum.Enum):
@@ -45,60 +45,43 @@ class FlagRecord:
     severity: float  # mm of excess
 
 
-def _subtree_values(node: BinaryNode) -> list[float]:
-    vals = []
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if n.thickness is not None:
-            vals.append(n.thickness)
-        stack.extend(n.children)
-    return vals
-
-
 def detect_misconnection(tree: BinaryTree, config: DetectorConfig = DetectorConfig()):
     """Flag maximal nodes whose subtree median thickness jumps above the parent."""
+    nodes, parent, _, size = tree.preorder
+    thickness = [n.thickness for n in nodes]
     flags = []
-
-    def walk(node: BinaryNode, parent: BinaryNode | None):
-        if parent is not None and parent.thickness is not None:
-            vals = _subtree_values(node)
-            if len(vals) >= config.misconnection_min_subtree:
-                med = statistics.median(vals)
-                excess = med - parent.thickness - config.epsilon_mm
-                if excess > 0:
-                    flags.append(FlagRecord(
-                        tree.subject_id, tree.region.value,
-                        FlagKind.MISCONNECTION, node.node_id,
-                        med - parent.thickness,
-                    ))
-                    return  # maximal node only; descendants not re-reported
-        for child in node.children:
-            walk(child, node)
-
-    walk(tree.root, None)
+    i = 1
+    while i < len(nodes):
+        parent_t = thickness[parent[i]]
+        # only the root can lack a thickness, and no subtree below it holds the root
+        if parent_t is not None and size[i] >= config.misconnection_min_subtree:
+            med = statistics.median(thickness[i:i + size[i]])
+            if med - parent_t - config.epsilon_mm > 0:
+                flags.append(FlagRecord(
+                    tree.subject_id, tree.region.value,
+                    FlagKind.MISCONNECTION, nodes[i].node_id, med - parent_t,
+                ))
+                i += size[i]  # maximal node only; descendants not re-reported
+                continue
+        i += 1
     return flags
 
 
 def _heavy_path(tree: BinaryTree):
     """Root-to-leaf path always descending into the child with more descendants."""
-    sizes: dict[str, int] = {}
-
-    def size(node: BinaryNode) -> int:
-        s = 1 + sum(size(c) for c in node.children)
-        sizes[node.node_id] = s
-        return s
-
-    size(tree.root)
+    nodes, _, _, size = tree.preorder
     path = []
-    node = tree.root
-    while node is not None:
-        path.append(node)
-        kids = node.children
+    i = 0
+    while True:
+        path.append(nodes[i])
+        kids = []
+        j = i + 1
+        for _ in nodes[i].children:  # left first, so a tie keeps the left child
+            kids.append(j)
+            j += size[j]
         if not kids:
-            break
-        node = max(kids, key=lambda c: (sizes[c.node_id], c is node.left))
-    return path
+            return path
+        i = max(kids, key=size.__getitem__)
 
 
 def detect_starting_point(tree: BinaryTree, config: DetectorConfig = DetectorConfig()):

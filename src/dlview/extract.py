@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import statistics
 
-from .core import BinaryNode, BinaryTree, RawVesselGraph, Region, _id_sort_key
+from .core import BinaryNode, BinaryTree, RawVesselGraph, _id_sort_key
 
 
 def extract_binary_tree(graph: RawVesselGraph) -> BinaryTree:
@@ -20,106 +20,53 @@ def extract_binary_tree(graph: RawVesselGraph) -> BinaryTree:
         raise ValueError("cannot extract a tree from an empty graph")
     graph.validate()
     roots = sorted(graph.roots, key=_id_sort_key)
-    if len(roots) == 1:
-        root = _collapse_from(graph, roots[0])
-    elif len(roots) == 2:
-        subtrees = [_collapse_from(graph, r) for r in roots]
-        root = _phantom_root(subtrees, set_ids(subtrees))
-    else:
+    if len(roots) > 2:
         raise ValueError(
             f"{len(roots)} roots in {graph.subject_id}/{graph.region.value}; "
             "only 1 or 2 root vessels are supported"
         )
+    trunks: dict[str, BinaryNode] = {}
+    for r in roots:
+        _collapse_from(graph, r, trunks)
+    if len(roots) == 1:
+        root = trunks[roots[0]]
+    else:
+        # synthetic trunk ids end in a digit, so only a trunk named after a
+        # segment can take the phantom's name
+        pid = _fresh_id("phantom", trunks)
+        root = BinaryNode(pid, None, trunks[roots[0]], trunks[roots[1]])
     return BinaryTree(subject_id=graph.subject_id, region=graph.region, root=root)
 
 
-def attach_phantom_root(trees: list[BinaryTree]) -> BinaryTree:
-    """Join exactly two component trees of one subject/region under a phantom root."""
-    if len(trees) != 2:
-        raise ValueError(f"phantom root joins exactly 2 trees, got {len(trees)}")
-    a, b = trees
-    if (a.subject_id, a.region) != (b.subject_id, b.region):
-        raise ValueError("trees belong to different subjects/regions")
-    ordered = sorted(trees, key=lambda t: _id_sort_key(t.root.node_id))
-    used = {n.node_id for t in ordered for n in t.nodes()}
-    root = _phantom_root([t.root for t in ordered], used)
-    return BinaryTree(subject_id=a.subject_id, region=a.region, root=root)
-
-
-def _phantom_root(children: list[BinaryNode], used_ids: set[str]) -> BinaryNode:
-    pid = _fresh_id("phantom", used_ids)
-    return BinaryNode(pid, None, children[0], children[1])
-
-
-def set_ids(nodes: list[BinaryNode]) -> set[str]:
-    out: set[str] = set()
-    stack = list(nodes)
-    while stack:
-        n = stack.pop()
-        out.add(n.node_id)
-        stack.extend(n.children)
-    return out
-
-
-def _fresh_id(base: str, used: set[str]) -> str:
+def _fresh_id(base: str, used) -> str:
     nid = base
     while nid in used:
         nid += "~"
-    used.add(nid)
     return nid
 
 
-def _collapse_from(graph: RawVesselGraph, sid: str) -> BinaryNode:
-    # walk down the unary chain starting at sid, pooling point radii
-    chain_head = sid
-    radii: list[float] = []
-    cur = sid
-    while True:
-        radii.extend(p.radius for p in graph.segments[cur].points)
-        kids = graph.children_of(cur)
-        if len(kids) == 1:
+def _collapse_from(graph: RawVesselGraph, sid: str, trunks: dict[str, BinaryNode]) -> None:
+    """Build the trunk tree under segment sid into `trunks`, keyed by head segment id."""
+    found = []  # (head, thickness, child heads); a trunk precedes its children
+    stack = [sid]
+    while stack:
+        head = stack.pop()
+        # walk down the unary chain starting at head, pooling point radii
+        radii: list[float] = []
+        cur = head
+        while True:
+            radii.extend(p.radius for p in graph.segments[cur].points)
+            kids = graph.children_of(cur)
+            if len(kids) != 1:
+                break
             cur = kids[0]
-        else:
-            break
-    thickness = 2.0 * statistics.median(radii)
-    children = [_collapse_from(graph, k) for k in kids]
-    left, right = _binarize(children, thickness, chain_head)
-    return BinaryNode(chain_head, thickness, left, right)
-
-
-def _binarize(children, parent_thickness: float, parent_id: str):
-    """Reduce >= 3 children to nested binary splits (right-leaning comb)."""
-    if not children:
-        return None, None
-    if len(children) == 1:
-        # cannot happen for collapsed chains; kept for direct callers
-        return children[0], None
-    if len(children) == 2:
-        return children[0], children[1]
-    return children[0], _comb(children[1:], parent_thickness, parent_id, 1)
-
-
-def _comb(rest, thickness: float, parent_id: str, k: int) -> BinaryNode:
-    if len(rest) == 2:
-        left, right = rest
-    else:
-        left, right = rest[0], _comb(rest[1:], thickness, parent_id, k + 1)
-    return BinaryNode(f"{parent_id}~{k}", thickness, left, right)
-
-
-def resolve_polyfurcation(children: list[str]) -> object:
-    """Deterministic binary split order for a polyfurcating junction.
-
-    Returns the child id for two children, or a nested (first, rest) pair:
-    children sorted ascending by segment id, first splits off first.
-    """
-    ordered = sorted(children, key=_id_sort_key)
-    if len(ordered) <= 2:
-        return tuple(ordered) if len(ordered) == 2 else ordered[0]
-
-    def nest(ids):
-        if len(ids) == 2:
-            return (ids[0], ids[1])
-        return (ids[0], nest(ids[1:]))
-
-    return nest(ordered)
+        found.append((head, 2.0 * statistics.median(radii), kids))
+        stack.extend(kids)
+    for head, thickness, kids in reversed(found):
+        left = right = None
+        if kids:
+            # >= 3 children: right-leaning comb of synthetic trunks head~1, head~2, ...
+            left, right = trunks[kids[0]], trunks[kids[-1]]
+            for k in range(len(kids) - 2, 0, -1):
+                right = BinaryNode(f"{head}~{k}", thickness, trunks[kids[k]], right)
+        trunks[head] = BinaryNode(head, thickness, left, right)

@@ -90,7 +90,9 @@ def parse_vess(text: Union[str, bytes]) -> RawVesselGraph:
     points: dict[str, VesselPoint] = {}
     segments: dict[str, VesselSegment] = {}
     edges: set[tuple[str, str]] = set()
-    parent_of: dict[str, str] = {}
+    # union-find toward each segment's tree root: up[s] is some ancestor of
+    # s, and only segments that have a parent have an entry
+    up: dict[str, str] = {}
     roots: list[str] = []
 
     for lineno, raw in enumerate(_decode(text).splitlines(), start=1):
@@ -143,17 +145,15 @@ def parse_vess(text: Union[str, bytes]) -> RawVesselGraph:
             for sid in (p, c):
                 if sid not in segments:
                     raise DanglingReferenceError(f"unknown segment id {sid!r}", lineno)
-            if c in parent_of:
+            if c in up:
                 raise DanglingReferenceError(
                     f"segment {c!r} already has a parent", lineno
                 )
-            # walking up from the new parent must not reach the child
-            anc = p
-            while anc is not None:
-                if anc == c:
-                    raise CycleError(f"CONNECT {p} {c} closes a cycle", lineno)
-                anc = parent_of.get(anc)
-            parent_of[c] = p
+            # c has no parent yet, so it is the root of its own tree
+            root = _find_root(up, p)
+            if root == c:
+                raise CycleError(f"CONNECT {p} {c} closes a cycle", lineno)
+            up[c] = root
             edges.add((p, c))
         elif kind == "ROOT":
             if len(toks) != 2:
@@ -181,6 +181,16 @@ def parse_vess(text: Union[str, bytes]) -> RawVesselGraph:
     except ValueError as e:
         raise DanglingReferenceError(str(e))
     return graph
+
+
+def _find_root(up: dict[str, str], sid: str) -> str:
+    """Root of sid's tree, halving the path on the way up."""
+    while sid in up:
+        nxt = up[sid]
+        if nxt in up:
+            up[sid] = up[nxt]
+        sid = up[sid]
+    return sid
 
 
 def serialize_vess(graph: RawVesselGraph) -> bytes:

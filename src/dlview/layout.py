@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import BinaryTree, descendant_count
+from .core import BinaryTree
 
 BIN_COUNT = 100
 THICKNESS_RANGE_MM = 4.0
@@ -96,28 +96,23 @@ def apply_jitter(placements, subject_id: str, region_code: str,
 
 
 def build_layout(tree: BinaryTree, config: LayoutConfig = LayoutConfig()) -> DlLayout:
+    nodes, parent, level, size = tree.preorder
     placements = []
     edges = []
     histogram = [0] * BIN_COUNT
     tmin = tmax = None
-
-    def walk(node, level):
-        d = descendant_count(tree, node.node_id)
-        y = y_coordinate(d)
+    for i, node in enumerate(nodes):
+        y = y_coordinate(size[i] - 1)
         if node.thickness is None:
             cb = None
         else:
             cb = color_bin(node.thickness)
             histogram[cb] += 1
-            nonlocal tmin, tmax
             tmin = node.thickness if tmin is None else min(tmin, node.thickness)
             tmax = node.thickness if tmax is None else max(tmax, node.thickness)
-        placements.append(DlNodePlacement(node.node_id, level, y, y, cb))
-        for child in node.children:
-            edges.append((node.node_id, child.node_id))
-            walk(child, level + 1)
-
-    walk(tree.root, 0)
+        placements.append(DlNodePlacement(node.node_id, level[i], y, y, cb))
+        if i:
+            edges.append((nodes[parent[i]].node_id, node.node_id))
     placements = apply_jitter(placements, tree.subject_id, tree.region.value, config)
     return DlLayout(
         subject_id=tree.subject_id,

@@ -140,8 +140,16 @@ def _inject_vein(tree: BinaryTree, rng, config: DetectorConfig):
     )
 
 
-def _subtree_size(node: BinaryNode) -> int:
-    return 1 + sum(_subtree_size(c) for c in node.children)
+def _graft_sites(tree: BinaryTree):
+    """(parent, leaf, node count of the leaf's sibling subtree) for each leaf with a sibling."""
+    nodes, _, _, size = tree.preorder
+    for i, node in enumerate(nodes):
+        if node.left is None or node.right is None:
+            continue
+        left, right = i + 1, i + 1 + size[i + 1]
+        for leaf, sib in ((left, right), (right, left)):
+            if nodes[leaf].is_leaf:
+                yield node, nodes[leaf], size[sib]
 
 
 def _inject_misconnection(tree: BinaryTree, rng, config: DetectorConfig,
@@ -152,13 +160,8 @@ def _inject_misconnection(tree: BinaryTree, rng, config: DetectorConfig,
     cannot shift any ancestor's subtree median.
     """
     graft_size_target = graft_size or max(config.misconnection_min_subtree, 5)
-    candidates = []
-    for node in tree.nodes():
-        if node.left is None or node.right is None:
-            continue
-        for leaf, sib in ((node.left, node.right), (node.right, node.left)):
-            if leaf.is_leaf and _subtree_size(sib) >= graft_size_target + 2:
-                candidates.append((node, leaf))
+    candidates = [(parent, leaf) for parent, leaf, sib_size in _graft_sites(tree)
+                  if sib_size >= graft_size_target + 2]
     if not candidates:
         raise TreeTooSmallError("no leaf with a large enough sibling subtree")
     parent, host = candidates[rng.randrange(len(candidates))]
@@ -215,14 +218,7 @@ def _inject_starting_point(tree: BinaryTree, config: DetectorConfig):
 
 def max_graft_size(tree: BinaryTree) -> int:
     """Largest misconnection graft this tree can host (0 if none)."""
-    best = 0
-    for node in tree.nodes():
-        if node.left is None or node.right is None:
-            continue
-        for leaf, sib in ((node.left, node.right), (node.right, node.left)):
-            if leaf.is_leaf:
-                best = max(best, _subtree_size(sib) - 2)
-    return best
+    return max([0] + [sib_size - 2 for _, _, sib_size in _graft_sites(tree)])
 
 
 def repair_operation(tree_before: BinaryTree, kind: FlagKind, locus: str):

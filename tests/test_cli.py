@@ -139,3 +139,34 @@ def test_synth_determinism(tmp_path):
     assert fa == sorted(p.name for p in b.iterdir())
     for name in fa:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_duplicate_tree_key_is_a_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.dltree").write_text("HEADER s1 B\n(r:1.0)\n")
+    (corpus / "b.dltree").write_text("HEADER s1 B\n(q:2.0)\n")
+    assert run("scan", str(corpus), "--report",
+               str(tmp_path / "r.tsv")) == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert "a.dltree" in err and "b.dltree" in err
+    assert not (tmp_path / "r.tsv").exists()
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("epsilon = 0.01", "unknown key 'epsilon'"),
+    ("epsilon_mm = abc", "bad value 'abc'"),
+    ("epsilon_mm = -1", "bad value '-1'"),
+    ("epsilon_mm = nan", "bad value 'nan'"),
+    ("misconnection_min_subtree = 2.5", "bad value '2.5'"),
+])
+def test_bad_config_line_names_file_and_line(tmp_path, capsys, line, problem):
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--subjects", "2", "--seed", "9",
+               "--out-dir", str(corpus)) == EXIT_OK
+    cfg = tmp_path / "detect.cfg"
+    cfg.write_text(f"# detector settings\nstartpoint_min_chain = 3\n{line}\n")
+    assert run("scan", str(corpus), "--config", str(cfg),
+               "--report", str(tmp_path / "r.tsv")) == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert f"{cfg}:3: {problem}" in err

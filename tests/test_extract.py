@@ -3,19 +3,14 @@ import random
 import pytest
 
 from dlview.core import (
-    BinaryTree,
     RawVesselGraph,
     Region,
     VesselPoint,
     VesselSegment,
     descendant_count,
 )
-from dlview.extract import (
-    attach_phantom_root,
-    extract_binary_tree,
-    resolve_polyfurcation,
-)
-from dlview.ingest import parse_dltree, serialize_dltree
+from dlview.extract import extract_binary_tree
+from dlview.ingest import serialize_dltree
 
 from conftest import random_vess_graph
 
@@ -58,10 +53,28 @@ def test_chain_thickness_is_twice_pooled_median():
     assert t.root.thickness == pytest.approx(0.8)  # 2 * median(.5,.5,.3,.3)
 
 
-def test_resolve_polyfurcation_examples():
-    assert resolve_polyfurcation(["9", "4", "7"]) == ("4", ("7", "9"))
-    assert resolve_polyfurcation(["2", "1"]) == ("1", "2")
-    assert resolve_polyfurcation(["1", "2", "3", "4"]) == ("1", ("2", ("3", "4")))
+def comb_order(node):
+    """A node as its leaf id, or a (left, right) pair of the same."""
+    if node.is_leaf:
+        return node.node_id
+    return (comb_order(node.left), comb_order(node.right))
+
+
+def split(parent, kids):
+    return graph([seg(parent, 1.0, 1.0)] + [seg(k, 0.2, 0.2) for k in kids],
+                 [(parent, k) for k in kids], [parent])
+
+
+def test_polyfurcation_comb_order_examples():
+    def order(kids):
+        return comb_order(extract_binary_tree(split("0", kids)).root)
+
+    assert order(["9", "4", "7"]) == ("4", ("7", "9"))
+    assert order(["2", "1"]) == ("1", "2")
+    assert order(["1", "2", "3", "4"]) == ("1", ("2", ("3", "4")))
+    assert order(["4", "3", "2", "1"]) == ("1", ("2", ("3", "4")))
+    t = extract_binary_tree(split("0", ["1", "2", "3", "4"]))
+    assert (t.root.right.node_id, t.root.right.right.node_id) == ("0~1", "0~2")
 
 
 def test_trifurcation_creates_comb_with_inherited_thickness():
@@ -78,22 +91,28 @@ def test_trifurcation_creates_comb_with_inherited_thickness():
 
 
 def test_phantom_root_joins_two_trees():
-    ta = BinaryTree("s", Region.BACK, parse_dltree("HEADER s B\n(a:1.0)\n").root)
-    tb = BinaryTree("s", Region.BACK, parse_dltree("HEADER s B\n(b:2.0)\n").root)
-    joined = attach_phantom_root([ta, tb])
-    assert joined.node_count == 3
-    assert joined.root.thickness is None
-    assert joined.root.left.node_id == "a"
-    assert joined.root.right.node_id == "b"
-    # swapping segment ids swaps left/right
-    swapped = attach_phantom_root([tb, ta])
-    assert swapped.root.left.node_id == "a"
+    for roots in (["1", "2"], ["2", "1"]):
+        g = graph([seg("1", 0.5, 0.5), seg("2", 1.0, 1.0)], [], roots)
+        joined = extract_binary_tree(g)
+        assert joined.node_count == 3
+        assert joined.root.thickness is None
+        # the lower segment id goes left, whatever the ROOT order
+        assert joined.root.left.node_id == "1"
+        assert joined.root.right.node_id == "2"
 
 
 def test_phantom_root_requires_two_trees():
-    ta = BinaryTree("s", Region.BACK, parse_dltree("HEADER s B\n(a:1.0)\n").root)
+    one = extract_binary_tree(graph([seg("a", 0.5, 0.5)], [], ["a"]))
+    assert one.root.node_id == "a" and one.root.thickness == pytest.approx(1.0)
+    three = graph([seg("a", 0.5, 0.5), seg("b", 0.5, 0.5), seg("c", 0.5, 0.5)],
+                  [], ["a", "b", "c"])
     with pytest.raises(ValueError):
-        attach_phantom_root([ta])
+        extract_binary_tree(three)
+
+
+def test_phantom_root_takes_a_fresh_id():
+    g = graph([seg("phantom", 0.5, 0.5), seg("q", 0.5, 0.5)], [], ["phantom", "q"])
+    assert extract_binary_tree(g).root.node_id == "phantom~"
 
 
 def test_two_root_graph_gets_phantom_root():
@@ -152,3 +171,26 @@ def test_extraction_is_deterministic():
         a = serialize_dltree(extract_binary_tree(g))
         b = serialize_dltree(extract_binary_tree(g))
         assert a == b
+
+
+def test_invalid_hand_built_graph_rejected():
+    g = RawVesselGraph("s", Region.BACK, {"1": seg("1", 0.5, 0.5), "2": seg("2", 0.4, 0.4)},
+                       frozenset({("1", "2"), ("2", "1")}), ("1",))
+    with pytest.raises(ValueError):
+        extract_binary_tree(g)
+
+
+def test_deep_nested_splits_extract_without_recursion():
+    # each split k hands a leaf to one side and the next split (a two-segment
+    # unary chain) to the other; 1500 levels is past the default recursion limit
+    depth = 1500
+    segments = [seg("leaf", 0.1, 0.1)]
+    edges = []
+    for k in range(depth):
+        segments += [seg(f"a{k}", 0.5, 0.5), seg(f"b{k}", 0.5, 0.5), seg(f"x{k}", 0.1, 0.1)]
+        edges += [(f"a{k}", f"b{k}"), (f"b{k}", f"x{k}")]
+        edges.append((f"b{k}", f"a{k + 1}" if k + 1 < depth else "leaf"))
+    t = extract_binary_tree(graph(segments, edges, ["a0"]))
+    trunks = depth + depth + 1  # one per split, one leaf per split, the last leaf
+    assert t.node_count == trunks
+    assert descendant_count(t, "a0") == trunks - 1
