@@ -253,14 +253,19 @@ def cmd_synth(args) -> int:
 
 def _read_covariates(path: Path) -> dict[str, float]:
     ages = {}
-    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
-        if not line.strip() or (i == 0 and line.startswith("subject")):
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip() or (lineno == 1 and line.startswith("subject")):
             continue
         try:
             subject, age = line.split("\t")
-            ages[subject] = float(age)
+            value = float(age)
+            if not math.isfinite(value):
+                raise ValueError("age is not a finite number")
         except ValueError:
-            raise DataError(f"{path}: bad covariate line {line!r}")
+            raise DataError(f"{path}:{lineno}: bad covariate line {line!r}")
+        if subject in ages:
+            raise DataError(f"{path}:{lineno}: subject {subject!r} listed twice")
+        ages[subject] = value
     return ages
 
 
@@ -283,8 +288,12 @@ def cmd_stats(args) -> int:
     _write_atomic(Path(args.out),
                   stats.comparison_to_tsv(primary, baseline).encode("utf-8"))
     if args.flags:
-        records = detect.flags_from_tsv(Path(args.flags).read_text(encoding="utf-8"))
-        corpus_size = len(_load_corpus(Path(args.directory)))
+        try:
+            records = detect.flags_from_tsv(Path(args.flags).read_text(encoding="utf-8"))
+        except ValueError as e:
+            raise DataError(f"{args.flags}: {e}")
+        # every tree of the corpus is a point of its region's regression
+        corpus_size = sum(r.n for r in primary.values())
         summary = stats.summarize_flags(records, corpus_size)
         _write_atomic(Path(args.summary_out or "flag_summary.tsv"),
                       stats.summary_to_tsv(summary).encode("utf-8"))

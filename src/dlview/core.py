@@ -1,6 +1,9 @@
 """Shared domain types for vessel graphs and the binary component trees.
 
 Everything here is immutable after construction; tree edits build new trees.
+They do so by path copying (`BinaryTree.with_subtree`): only the ancestors
+of the changed node are copied, and every other subtree is shared, node for
+node, between the old tree and the new one.
 
 Per-node subtree quantities come from one preorder interval index per tree
 (`BinaryTree.preorder`, built on first use and then cached).  Nodes are
@@ -242,6 +245,20 @@ class BinaryTree:
     def nodes(self) -> Iterator[BinaryNode]:
         """Pre-order traversal, left before right."""
         return iter(self._nodes)
+
+    def with_subtree(self, node_id: str, repl: BinaryNode) -> "BinaryTree":
+        """This tree with the subtree under node_id replaced by repl.
+
+        Copies only the node's ancestors; every other subtree is shared.
+        """
+        nodes, parent = self._nodes, self.preorder.parent
+        i = self.position(node_id)
+        while parent[i] >= 0:
+            p = nodes[parent[i]]
+            left, right = (repl, p.right) if p.left is nodes[i] else (p.left, repl)
+            repl = BinaryNode(p.node_id, p.thickness, left, right)
+            i = parent[i]
+        return BinaryTree(self.subject_id, self.region, repl)
 
 
 def descendant_count(tree: BinaryTree, node_id: str) -> int:

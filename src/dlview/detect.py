@@ -140,10 +140,14 @@ def flags_to_tsv(flags) -> str:
 
 
 def flags_from_tsv(text: str) -> list[FlagRecord]:
+    """Parse a flags.tsv; a bad row raises ValueError naming its line."""
     records = []
-    for i, line in enumerate(text.splitlines()):
-        if not line.strip() or (i == 0 and line.startswith("subject\t")):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip() or (lineno == 1 and line.startswith("subject\t")):
             continue
-        subject, region, kind, node, severity = line.split("\t")
-        records.append(FlagRecord(subject, region, FlagKind(kind), node, float(severity)))
+        try:
+            subject, region, kind, node, severity = line.split("\t")
+            records.append(FlagRecord(subject, region, FlagKind(kind), node, float(severity)))
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: {e}")
     return records

@@ -55,33 +55,27 @@ class EditScriptError(ValueError):
     pass
 
 
-def _remove(node: BinaryNode, target_id: str) -> Optional[BinaryNode]:
-    """Rebuild the tree below `node` with the target subtree removed.
-
-    Unary survivors merge with their remaining child (mean thickness);
-    a phantom parent left unary is dropped in favor of its child.
-    """
-    if node.node_id == target_id:
-        return None
-    kids = [c for c in node.children]
-    new_kids = [k for k in (_remove(c, target_id) for c in kids) if k is not None]
-    if len(kids) == 2 and len(new_kids) == 1:
-        survivor = new_kids[0]
-        if node.thickness is None:
-            return survivor  # phantom root no longer joins two vessels
-        merged_t = (node.thickness + survivor.thickness) / 2.0
-        return BinaryNode(node.node_id, merged_t, survivor.left, survivor.right)
-    left = new_kids[0] if new_kids else None
-    right = new_kids[1] if len(new_kids) > 1 else None
-    return BinaryNode(node.node_id, node.thickness, left, right)
-
-
 def delete_subtree(tree: BinaryTree, node_id: str) -> BinaryTree:
-    node = tree.node(node_id)
-    if node is tree.root:
+    """Remove the node's subtree; only the parent and its ancestors are rebuilt.
+
+    If the node was an only child, its parent becomes a leaf.  Otherwise the
+    parent merges with the surviving child (mean thickness), except that a
+    phantom root is replaced by the surviving vessel.
+    """
+    i = tree.position(node_id)
+    nodes, parent_of = tree.preorder.nodes, tree.preorder.parent
+    if parent_of[i] < 0:
         raise EditScriptError("cannot delete the root subtree (exclude the case instead)")
-    root = _remove(tree.root, node_id)
-    return BinaryTree(tree.subject_id, tree.region, root)
+    parent = nodes[parent_of[i]]
+    survivor = parent.right if parent.left is nodes[i] else parent.left
+    if survivor is None:
+        repl = BinaryNode(parent.node_id, parent.thickness)
+    elif parent.thickness is None:
+        repl = survivor  # phantom root no longer joins two vessels
+    else:
+        merged_t = (parent.thickness + survivor.thickness) / 2.0
+        repl = BinaryNode(parent.node_id, merged_t, survivor.left, survivor.right)
+    return tree.with_subtree(parent.node_id, repl)
 
 
 def delete_leaf(tree: BinaryTree, node_id: str) -> BinaryTree:
@@ -109,7 +103,10 @@ def parse_script(text: str) -> list[ScriptLine]:
         if len(toks) != 4:
             raise EditScriptError(f"line {lineno}: malformed script line {line!r}")
         subject, region_code, verb, node_id = toks
-        region = Region.from_code(region_code)
+        try:
+            region = Region.from_code(region_code)
+        except ValueError as e:
+            raise EditScriptError(f"line {lineno}: {e}")
         ops = {
             "DELETE_SUBTREE": DeleteSubtree,
             "TRIM_ROOT": TrimRoot,

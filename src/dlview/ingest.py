@@ -271,47 +271,52 @@ def _build_tree(subject_id: str, region: Region, root: BinaryNode) -> BinaryTree
 
 
 def _parse_node(s: str, pos: int) -> tuple[BinaryNode, int]:
-    pos = _skip_ws(s, pos)
-    if pos >= len(s) or s[pos] != "(":
-        raise SyntaxParseError("expected '('", 2, pos)
-    pos = _skip_ws(s, pos + 1)
-    m = _ID_RE.match(s, pos)
-    if not m:
-        raise SyntaxParseError("expected node id", 2, pos)
-    node_id = m.group(0)
-    pos = _skip_ws(s, m.end())
-    if pos >= len(s) or s[pos] != ":":
-        raise SyntaxParseError("expected ':' after node id", 2, pos)
-    pos = _skip_ws(s, pos + 1)
-    thickness: Optional[float]
-    if pos < len(s) and s[pos] == "_":
-        thickness = None
-        pos += 1
-    else:
-        m = _NUM_RE.match(s, pos)
-        if not m:
-            raise SyntaxParseError("expected thickness number or '_'", 2, pos)
-        thickness = float(m.group(0))
-        if thickness < 0:
-            raise NegativeThicknessError(
-                f"node {node_id!r} has negative thickness", 2, pos
-            )
-        pos = m.end()
-    children: list[BinaryNode] = []
-    pos = _skip_ws(s, pos)
-    while pos < len(s) and s[pos] == ",":
-        child, pos = _parse_node(s, pos + 1)
-        children.append(child)
+    """Parse one tree expression at pos; returns the root and the position after it."""
+    open_nodes: list[tuple[str, Optional[float], list[BinaryNode]]] = []
+    while True:
         pos = _skip_ws(s, pos)
-    if len(children) > 2:
-        raise TooManyChildrenError(
-            f"node {node_id!r} has {len(children)} children", 2, pos
-        )
-    if pos >= len(s) or s[pos] != ")":
-        raise SyntaxParseError("expected ')'", 2, pos)
-    left = children[0] if children else None
-    right = children[1] if len(children) > 1 else None
-    return BinaryNode(node_id, thickness, left, right), pos + 1
+        if pos >= len(s) or s[pos] != "(":
+            raise SyntaxParseError("expected '('", 2, pos)
+        pos = _skip_ws(s, pos + 1)
+        m = _ID_RE.match(s, pos)
+        if not m:
+            raise SyntaxParseError("expected node id", 2, pos)
+        node_id = m.group(0)
+        pos = _skip_ws(s, m.end())
+        if pos >= len(s) or s[pos] != ":":
+            raise SyntaxParseError("expected ':' after node id", 2, pos)
+        pos = _skip_ws(s, pos + 1)
+        thickness: Optional[float]
+        if pos < len(s) and s[pos] == "_":
+            thickness = None
+            pos += 1
+        else:
+            m = _NUM_RE.match(s, pos)
+            if not m:
+                raise SyntaxParseError("expected thickness number or '_'", 2, pos)
+            thickness = float(m.group(0))
+            if thickness < 0:
+                raise NegativeThicknessError(
+                    f"node {node_id!r} has negative thickness", 2, pos
+                )
+            pos = m.end()
+        open_nodes.append((node_id, thickness, []))
+        pos = _skip_ws(s, pos)
+        # close nodes until one continues with a ',' child
+        while pos >= len(s) or s[pos] != ",":
+            node_id, thickness, children = open_nodes.pop()
+            if len(children) > 2:
+                raise TooManyChildrenError(
+                    f"node {node_id!r} has {len(children)} children", 2, pos
+                )
+            if pos >= len(s) or s[pos] != ")":
+                raise SyntaxParseError("expected ')'", 2, pos)
+            node = BinaryNode(node_id, thickness, *children)
+            if not open_nodes:
+                return node, pos + 1
+            open_nodes[-1][2].append(node)
+            pos = _skip_ws(s, pos + 1)
+        pos += 1
 
 
 def _skip_ws(s: str, pos: int) -> int:
@@ -323,15 +328,16 @@ def _skip_ws(s: str, pos: int) -> int:
 def serialize_dltree(tree: BinaryTree) -> bytes:
     """Canonical form: left child first, thickness with exactly 4 decimals."""
     parts: list[str] = []
-    _emit(tree.root, parts)
+    unopened: list[int] = []  # children not yet written, per open node
+    for node in tree.nodes():
+        if unopened:
+            unopened[-1] -= 1
+            parts.append(",")
+        t = "_" if node.thickness is None else f"{node.thickness:.4f}"
+        parts.append(f"({node.node_id}:{t}")
+        unopened.append((node.left is not None) + (node.right is not None))
+        while unopened and unopened[-1] == 0:
+            unopened.pop()
+            parts.append(")")
     header = f"HEADER {tree.subject_id} {tree.region.value}"
     return (header + "\n" + "".join(parts) + "\n").encode("utf-8")
-
-
-def _emit(node: BinaryNode, parts: list[str]) -> None:
-    t = "_" if node.thickness is None else f"{node.thickness:.4f}"
-    parts.append(f"({node.node_id}:{t}")
-    for child in node.children:
-        parts.append(",")
-        _emit(child, parts)
-    parts.append(")")

@@ -101,27 +101,14 @@ def _used_ids(tree: BinaryTree) -> set[str]:
     return {n.node_id for n in tree.nodes()}
 
 
-def _replace_node(node: BinaryNode, target_id: str, repl: BinaryNode) -> BinaryNode:
-    if node.node_id == target_id:
-        return repl
-    left = _replace_node(node.left, target_id, repl) if node.left else None
-    right = _replace_node(node.right, target_id, repl) if node.right else None
-    return BinaryNode(node.node_id, node.thickness, left, right)
-
-
-def _leaves(tree: BinaryTree) -> list[BinaryNode]:
-    return [n for n in tree.nodes() if n.is_leaf]
-
-
 def _inject_vein(tree: BinaryTree, rng, config: DetectorConfig):
     """Split a leaf into a normal child plus an over-thick vein leaf.
 
     Hosts are restricted to leaves at level >= 2, below the generator's
     thickness cap, so the thick vein can never extend a root chain.
     """
-    from .core import node_level
-
-    leaves = [n for n in _leaves(tree) if node_level(tree, n.node_id) >= 2]
+    nodes, _, level, _ = tree.preorder
+    leaves = [n for n, lv in zip(nodes, level) if n.is_leaf and lv >= 2]
     if not leaves:
         raise TreeTooSmallError("no deep leaf to attach a vein to")
     host = leaves[rng.randrange(len(leaves))]
@@ -133,11 +120,7 @@ def _inject_vein(tree: BinaryTree, rng, config: DetectorConfig):
     sibling = BinaryNode(sib_id, host.thickness * 0.9)
     vein = BinaryNode(vein_id, vein_t)
     new_host = BinaryNode(host.node_id, host.thickness, sibling, vein)
-    return (
-        BinaryTree(tree.subject_id, tree.region,
-                   _replace_node(tree.root, host.node_id, new_host)),
-        vein_id,
-    )
+    return tree.with_subtree(host.node_id, new_host), vein_id
 
 
 def _graft_sites(tree: BinaryTree):
@@ -169,11 +152,7 @@ def _inject_misconnection(tree: BinaryTree, rng, config: DetectorConfig,
     tag = rng.randrange(10**6)
     graft_t0 = parent.thickness + 5 * config.epsilon_mm
     graft = _grow_graft(rng, graft_t0, graft_size_target, f"mc{tag}", used)
-    return (
-        BinaryTree(tree.subject_id, tree.region,
-                   _replace_node(tree.root, host.node_id, graft)),
-        graft.node_id,
-    )
+    return tree.with_subtree(host.node_id, graft), graft.node_id
 
 
 def _grow_graft(rng, t0: float, size: int, prefix: str, used: set[str]) -> BinaryNode:

@@ -170,3 +170,48 @@ def test_bad_config_line_names_file_and_line(tmp_path, capsys, line, problem):
                "--report", str(tmp_path / "r.tsv")) == EXIT_DATA_ERROR
     err = capsys.readouterr().err
     assert f"{cfg}:3: {problem}" in err
+
+
+@pytest.fixture
+def small_corpus(tmp_path):
+    corpus = tmp_path / "corpus"
+    # stats fits a slope per region, which needs three subjects
+    assert run("synth", "--subjects", "3", "--seed", "9", "--out-dir", str(corpus)) == EXIT_OK
+    return corpus
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("s000\tB\tVein", "line 3: not enough values to unpack (expected 5, got 3)"),
+    ("s000\tB\tVien\tn3\t0.5000", "line 3: 'Vien' is not a valid FlagKind"),
+    ("s000\tB\tVein\tn3\tlots", "line 3: could not convert string to float: 'lots'"),
+])
+def test_bad_flags_row_names_file_and_line(tmp_path, capsys, small_corpus, row, problem):
+    flags = tmp_path / "flags.tsv"
+    flags.write_text(f"subject\tregion\tkind\tnode\tseverity\ns001\tL\tVein\tn2\t0.5000\n{row}\n")
+    assert run("stats", str(small_corpus), "--covariates", str(small_corpus / "ages.tsv"),
+               "--out", str(tmp_path / "t.tsv"), "--flags", str(flags),
+               "--summary-out", str(tmp_path / "s.tsv")) == EXIT_DATA_ERROR
+    assert f"{flags}: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "s.tsv").exists()
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("s001 40.0", "bad covariate line 's001 40.0'"),
+    ("s001\tforty", "bad covariate line 's001\\tforty'"),
+    ("s001\tnan", "bad covariate line 's001\\tnan'"),
+    ("s000\t41.0", "subject 's000' listed twice"),
+])
+def test_bad_covariate_line_names_file_and_line(tmp_path, capsys, small_corpus, row, problem):
+    ages = tmp_path / "ages.tsv"
+    ages.write_text(f"subject\tage\ns000\t30.0\n{row}\n")
+    assert run("stats", str(small_corpus), "--covariates", str(ages),
+               "--out", str(tmp_path / "t.tsv")) == EXIT_DATA_ERROR
+    assert f"{ages}:3: {problem}" in capsys.readouterr().err
+
+
+def test_bad_script_region_names_script_and_line(tmp_path, capsys, small_corpus):
+    script = tmp_path / "fix.edits"
+    script.write_text("# repairs\ns000 Q DELETE_LEAF n3\n")
+    assert run("apply-edits", str(small_corpus), "--script", str(script),
+               "--out-dir", str(tmp_path / "fixed")) == EXIT_DATA_ERROR
+    assert f"{script}: line 2: unknown region code 'Q'" in capsys.readouterr().err

@@ -9,8 +9,9 @@ from dlview.core import (
     VesselSegment,
     descendant_count,
 )
+from dlview.cli import main
 from dlview.extract import extract_binary_tree
-from dlview.ingest import serialize_dltree
+from dlview.ingest import serialize_dltree, serialize_vess
 
 from conftest import random_vess_graph
 
@@ -180,7 +181,7 @@ def test_invalid_hand_built_graph_rejected():
         extract_binary_tree(g)
 
 
-def test_deep_nested_splits_extract_without_recursion():
+def test_deep_nested_splits_extract_without_recursion(tmp_path):
     # each split k hands a leaf to one side and the next split (a two-segment
     # unary chain) to the other; 1500 levels is past the default recursion limit
     depth = 1500
@@ -190,7 +191,13 @@ def test_deep_nested_splits_extract_without_recursion():
         segments += [seg(f"a{k}", 0.5, 0.5), seg(f"b{k}", 0.5, 0.5), seg(f"x{k}", 0.1, 0.1)]
         edges += [(f"a{k}", f"b{k}"), (f"b{k}", f"x{k}")]
         edges.append((f"b{k}", f"a{k + 1}" if k + 1 < depth else "leaf"))
-    t = extract_binary_tree(graph(segments, edges, ["a0"]))
+    g = graph(segments, edges, ["a0"])
+    t = extract_binary_tree(g)
     trunks = depth + depth + 1  # one per split, one leaf per split, the last leaf
     assert t.node_count == trunks
     assert descendant_count(t, "a0") == trunks - 1
+    # the CLI also writes the tree out
+    vess = tmp_path / "deep.vess"
+    vess.write_bytes(serialize_vess(g))
+    assert main(["extract", str(vess), "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "s_B.dltree").read_bytes() == serialize_dltree(t)

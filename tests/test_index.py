@@ -1,8 +1,10 @@
-"""Property tests: the preorder-index readers against brute-force recursive oracles."""
+"""Property tests: the preorder-index readers and path-copy edits against
+brute-force recursive oracles."""
 
 import math
 import statistics
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,8 @@ from dlview.detect import (
     detect_misconnection,
     scan_tree,
 )
+from dlview.edit import DeleteSubtree, EditScriptError, ScriptLine, apply_script, delete_subtree
+from dlview.ingest import parse_dltree, serialize_dltree
 from dlview.layout import (
     DlNodePlacement,
     apply_jitter,
@@ -21,6 +25,7 @@ from dlview.layout import (
     color_bin,
     y_coordinate,
 )
+from dlview.render import render_svg
 
 from conftest import brute_descendants
 
@@ -149,12 +154,74 @@ def test_layout_matches_brute_force(tree):
     assert (layout.thickness_min, layout.thickness_max) == (min(thick), max(thick))
 
 
-def test_chain_of_ten_thousand_nodes_scans_and_lays_out():
+def _remove(node, target_id):
+    """The recursive whole-tree rebuild that delete_subtree replaced."""
+    if node.node_id == target_id:
+        return None
+    kids = [c for c in node.children]
+    new_kids = [k for k in (_remove(c, target_id) for c in kids) if k is not None]
+    if len(kids) == 2 and len(new_kids) == 1:
+        survivor = new_kids[0]
+        if node.thickness is None:
+            return survivor  # phantom root no longer joins two vessels
+        merged_t = (node.thickness + survivor.thickness) / 2.0
+        return BinaryNode(node.node_id, merged_t, survivor.left, survivor.right)
+    left = new_kids[0] if new_kids else None
+    right = new_kids[1] if len(new_kids) > 1 else None
+    return BinaryNode(node.node_id, node.thickness, left, right)
+
+
+def _replace_node(node, target_id, repl):
+    """The recursive whole-tree rebuild that with_subtree replaced."""
+    if node.node_id == target_id:
+        return repl
+    left = _replace_node(node.left, target_id, repl) if node.left else None
+    right = _replace_node(node.right, target_id, repl) if node.right else None
+    return BinaryNode(node.node_id, node.thickness, left, right)
+
+
+def shape(tree):
+    # _remove moves every only child to the left; output formats cannot tell
+    return [(n.node_id, n.thickness, [c.node_id for c in n.children]) for n in tree.nodes()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees, st.data())
+def test_path_copy_edits_match_recursive_oracles(tree, data):
+    target = data.draw(st.sampled_from([n.node_id for n in tree.nodes()]))
+    repl = BinaryNode("new", 0.7, None, BinaryNode("new.1", 0.6))
+    out = tree.with_subtree(target, repl)
+    assert out.root == _replace_node(tree.root, target, repl)
+    # only the target's ancestors are copied; every other subtree is shared
+    old = {n.node_id: n for n in tree.nodes()}
+    copied = {n.node_id for n in out.nodes() if old.get(n.node_id) is not n}
+    ancestors = set()
+    p = tree.parent_id(target)
+    while p is not None:
+        ancestors.add(p)
+        p = tree.parent_id(p)
+    assert copied == ancestors | {"new", "new.1"}
+
+    if target == tree.root.node_id:
+        with pytest.raises(EditScriptError):
+            delete_subtree(tree, target)
+        return
+    expected = BinaryTree(tree.subject_id, tree.region, _remove(tree.root, target))
+    assert shape(delete_subtree(tree, target)) == shape(expected)
+
+
+def _chain_text(thick):
+    n = len(thick)
+    body = "".join(f"(c{i}:{t}" + ("," if i < n - 1 else "") for i, t in enumerate(thick))
+    return f"HEADER s B\n{body}{')' * n}\n"
+
+
+def test_chain_of_ten_thousand_nodes_through_every_stage():
     n = 10_000
-    node = None
-    for i in reversed(range(n)):
-        node = BinaryNode(f"c{i}", 3.9 * 0.9999 ** i, node)
-    tree = BinaryTree("s", Region.BACK, node)
+    thick = [f"{3.9 * 0.9999 ** i:.4f}" for i in range(n)]
+    text = _chain_text(thick)
+    tree = parse_dltree(text)
+    assert tree.node_count == n
     flags = scan_tree(tree)
     # the thick root chain is a starting point; a thinning chain hides no other jump
     assert [f.kind for f in flags] == [FlagKind.STARTING_POINT]
@@ -163,3 +230,11 @@ def test_chain_of_ten_thousand_nodes_scans_and_lays_out():
     deepest = layout.placements[-1]
     assert (deepest.node_id, deepest.x, deepest.y) == (f"c{n - 1}", n - 1, 0.0)
     assert layout.placements[0].y == math.log2(n)
+    svg = render_svg(layout)
+    assert (svg.count(b"<circle"), svg.count(b"<line")) == (n, n - 1)
+    # cutting at mid-depth leaves the unary parent as the new deepest leaf
+    edited = apply_script({("s", "B"): tree},
+                          [ScriptLine("s", Region.BACK, DeleteSubtree(f"c{n // 2}"))])
+    assert edited[("s", "B")].node_count == n // 2
+    assert serialize_dltree(edited[("s", "B")]) == _chain_text(thick[:n // 2]).encode()
+    assert serialize_dltree(tree) == text.encode()
