@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import random
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
 from . import detect, edit, ingest, stats, synth
-from .core import BinaryTree, CorpusEntry, Region
+from .core import BinaryTree, CorpusEntry
 from .detect import DetectorConfig, FlagKind
 from .extract import extract_binary_tree
 from .layout import LayoutConfig, build_layout
@@ -45,13 +45,6 @@ def _write_atomic(path: Path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _parallel(jobs: int, fn, items):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_tree(path: Path) -> BinaryTree:
@@ -122,17 +115,13 @@ def _detector_config(cfg: dict[str, int | float], args) -> DetectorConfig:
 
 def cmd_extract(args) -> int:
     out_dir = Path(args.out_dir)
-
-    def one(path_str: str):
-        path = Path(path_str)
+    for path in map(Path, args.inputs):
         try:
             graph = ingest.parse_vess(path.read_bytes())
         except ingest.ParseError as e:
             raise DataError(f"{path}: {e}")
         tree = extract_binary_tree(graph)
         _write_atomic(out_dir / _tree_filename(tree), ingest.serialize_dltree(tree))
-
-    _parallel(args.jobs, one, args.inputs)
     return EXIT_OK
 
 
@@ -140,29 +129,17 @@ def cmd_render(args) -> int:
     out_dir = Path(args.out_dir)
     options = RenderOptions(width=args.width, height=args.height)
     config = LayoutConfig(jitter_salt=args.jitter_seed_salt)
-
-    def one(path_str: str):
-        path = Path(path_str)
-        tree = _load_tree(path)
-        svg = render_svg(build_layout(tree, config), options)
+    for path in map(Path, args.inputs):
+        svg = render_svg(build_layout(_load_tree(path), config), options)
         _write_atomic(out_dir / (path.stem + ".svg"), svg)
-
-    _parallel(args.jobs, one, args.inputs)
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
     corpus = _load_corpus(Path(args.directory))
     config = _detector_config(_read_config(Path(args.config) if args.config else None), args)
-
-    def one(item):
-        _, tree = item
-        return detect.scan_tree(tree, config)
-
-    per_tree = _parallel(args.jobs, one, sorted(corpus.items()))
-    flags = [f for group in per_tree for f in group]
-    flags.sort(key=lambda f: (f.subject_id, f.region_code,
-                              detect._KIND_ORDER[f.kind], f.node_id))
+    # trees in (subject, region) order, each tree's flags in (kind, node) order
+    flags = [f for _, tree in sorted(corpus.items()) for f in detect.scan_tree(tree, config)]
     _write_atomic(Path(args.report), detect.flags_to_tsv(flags).encode("utf-8"))
     return EXIT_FLAGS_FOUND if flags else EXIT_OK
 
@@ -180,11 +157,7 @@ def cmd_apply_edits(args) -> int:
     return EXIT_OK
 
 
-_INJECT_KINDS = {
-    "vein": FlagKind.VEIN,
-    "misconnection": FlagKind.MISCONNECTION,
-    "startingpoint": FlagKind.STARTING_POINT,
-}
+_INJECT_KINDS = {kind.value.lower(): kind for kind in FlagKind}
 
 
 def parse_inject_spec(spec: str) -> dict[FlagKind, int]:
@@ -194,43 +167,26 @@ def parse_inject_spec(spec: str) -> dict[FlagKind, int]:
         return counts
     for part in spec.split(","):
         name, sep, num = part.strip().partition("=")
-        if not sep or name.lower() not in _INJECT_KINDS:
-            raise DataError(f"bad --inject entry {part!r}")
-        counts[_INJECT_KINDS[name.lower()]] = int(num)
+        kind = _INJECT_KINDS.get(name.lower())
+        if not sep or kind is None or kind in counts or not num.isdecimal():
+            raise DataError(f"bad --inject entry {part!r} (expected kind=count, each of "
+                            f"{', '.join(_INJECT_KINDS)} at most once)")
+        counts[kind] = int(num)
     return counts
 
 
 def cmd_synth(args) -> int:
-    import random
-
-    entries = synth.generate_corpus(args.subjects, args.effect, args.seed)
     counts = parse_inject_spec(args.inject)
+    entries = synth.generate_corpus(args.subjects, args.effect, args.seed)
     rng = random.Random(args.seed ^ 0x5EED)
-    detector_config = DetectorConfig()
-    truth_rows = []
-    repair_lines = []
-
-    wanted = [kind for kind, n in sorted(counts.items(), key=lambda kv: kv[0].value)
-              for _ in range(n)]
-    if wanted:
-        order = list(range(len(entries)))
-        rng.shuffle(order)
-        idx_iter = iter(order)
-        for kind in wanted:
-            for idx in idx_iter:
-                entry = entries[idx]
-                try:
-                    tree, locus = synth.inject_anomaly(
-                        entry.tree, kind, rng.randrange(2**62), detector_config)
-                except synth.TreeTooSmallError:
-                    continue
-                repair_lines.append(synth.repair_operation(entry.tree, kind, locus))
-                entries[idx] = CorpusEntry(tree, entry.covariate)
-                truth_rows.append(
-                    f"{tree.subject_id}\t{tree.region.value}\t{kind.value}\t{locus}")
-                break
-            else:
-                raise DataError(f"not enough suitable trees to inject {kind.value}")
+    order = list(range(len(entries)))
+    rng.shuffle(order)
+    shared = iter(order)
+    plan = [(kind, shared) for kind in FlagKind for _ in range(counts.get(kind, 0))]
+    entries, truth, repairs = synth.inject_plan(entries, plan, rng)
+    if len(truth) < len(plan):
+        # the shared iterator ran dry at the first unmet item, so no later item is met
+        raise DataError(f"not enough suitable trees to inject {plan[len(truth)][0].value}")
 
     out_dir = Path(args.out_dir)
     ages = {}
@@ -238,10 +194,9 @@ def cmd_synth(args) -> int:
         _write_atomic(out_dir / _tree_filename(entry.tree),
                       ingest.serialize_dltree(entry.tree))
         ages[entry.tree.subject_id] = entry.covariate
-    repair_lines.reverse()
-    _write_atomic(out_dir / "repairs.edits",
-                  edit.format_script(repair_lines).encode("utf-8"))
-    truth_rows.sort()
+    _write_atomic(out_dir / "repairs.edits", edit.format_script(repairs).encode("utf-8"))
+    truth_rows = sorted(f"{subject}\t{region}\t{kind.value}\t{locus}"
+                        for subject, region, kind, locus in truth)
     _write_atomic(out_dir / "ground_truth.tsv",
                   ("subject\tregion\tkind\tnode\n"
                    + "".join(r + "\n" for r in truth_rows)).encode("utf-8"))
@@ -285,22 +240,29 @@ def cmd_stats(args) -> int:
     baseline = None
     if args.compare:
         baseline = stats.region_age_analysis(_corpus_entries(Path(args.compare), ages))
-    _write_atomic(Path(args.out),
-                  stats.comparison_to_tsv(primary, baseline).encode("utf-8"))
+    summary = None
     if args.flags:
         try:
             records = detect.flags_from_tsv(Path(args.flags).read_text(encoding="utf-8"))
         except ValueError as e:
             raise DataError(f"{args.flags}: {e}")
         # every tree of the corpus is a point of its region's regression
-        corpus_size = sum(r.n for r in primary.values())
-        summary = stats.summarize_flags(records, corpus_size)
+        summary = stats.summarize_flags(records, sum(r.n for r in primary.values()))
+    # written only once every input has been read and checked
+    _write_atomic(Path(args.out),
+                  stats.comparison_to_tsv(primary, baseline).encode("utf-8"))
+    if summary is not None:
         _write_atomic(Path(args.summary_out or "flag_summary.tsv"),
                       stats.summary_to_tsv(summary).encode("utf-8"))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
+
+
+# threads ran slower than one loop on this GIL-bound work (see README);
+# the option stays so that existing command lines still parse
+_JOBS_HELP = "accepted and ignored; every command runs serially"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="convert .vess graphs to .dltree component trees")
     p.add_argument("inputs", nargs="+", metavar="in.vess")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("render", help="render .dltree files as SVG figures")
@@ -322,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=1000)
     p.add_argument("--height", type=int, default=800)
     p.add_argument("--jitter-seed-salt", default="")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("scan", help="run the discrepancy detectors over a corpus")
@@ -330,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--report", required=True)
     p.add_argument("--epsilon-mm", dest="epsilon_mm", type=float)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("apply-edits", help="apply a correction script to a corpus")

@@ -14,10 +14,12 @@ import enum
 import statistics
 from dataclasses import dataclass
 
-from .core import BinaryTree
+from .core import BinaryTree, Region
 
 
 class FlagKind(enum.Enum):
+    """The declaration order is the order of kinds in every report."""
+
     MISCONNECTION = "Misconnection"
     STARTING_POINT = "StartingPoint"
     VEIN = "Vein"
@@ -119,7 +121,7 @@ def detect_vein(tree: BinaryTree, config: DetectorConfig = DetectorConfig()):
     return flags
 
 
-_KIND_ORDER = {FlagKind.MISCONNECTION: 0, FlagKind.STARTING_POINT: 1, FlagKind.VEIN: 2}
+_KIND_ORDER = {kind: i for i, kind in enumerate(FlagKind)}
 
 
 def scan_tree(tree: BinaryTree, config: DetectorConfig = DetectorConfig()):
@@ -147,6 +149,7 @@ def flags_from_tsv(text: str) -> list[FlagRecord]:
             continue
         try:
             subject, region, kind, node, severity = line.split("\t")
+            Region.from_code(region)
             records.append(FlagRecord(subject, region, FlagKind(kind), node, float(severity)))
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .core import CorpusEntry, Region
 from .detect import FlagKind, FlagRecord
 
-_KINDS = (FlagKind.MISCONNECTION, FlagKind.STARTING_POINT, FlagKind.VEIN)
+_KINDS = tuple(FlagKind)
 _REGIONS = tuple(Region)
 
 

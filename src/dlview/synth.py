@@ -242,40 +242,56 @@ def generate_corpus(n_subjects: int, covariate_effect: float, seed: int,
     return entries
 
 
+def inject_plan(entries: list[CorpusEntry], plan, rng: random.Random,
+                config: DetectorConfig = DetectorConfig(),
+                graft_fraction: float | None = None):
+    """Inject one anomaly per `(kind, candidate entry indices)` plan item.
+
+    An item takes the first candidate tree that can host its kind and is
+    skipped when its candidates run out; the candidates may be one shared
+    iterator, so no tree is tried twice.  `graft_fraction` scales
+    misconnection grafts with the host tree.  Returns the dirtied entries,
+    the (subject, region code, kind, locus) truth rows in injection order and
+    the repair script, later injections undone first.
+    """
+    dirty = list(entries)
+    truth = []
+    repairs = []
+    for kind, candidates in plan:
+        for idx in candidates:
+            tree = dirty[idx].tree
+            graft = None
+            if kind is FlagKind.MISCONNECTION and graft_fraction is not None:
+                graft = max(config.misconnection_min_subtree + 2,
+                            min(int(tree.node_count * graft_fraction),
+                                max_graft_size(tree), 300))
+            try:
+                new_tree, locus = inject_anomaly(tree, kind, rng.randrange(2**62),
+                                                 config, graft_size=graft)
+            except TreeTooSmallError:
+                continue
+            repairs.append(repair_operation(tree, kind, locus))
+            truth.append((tree.subject_id, tree.region.value, kind, locus))
+            dirty[idx] = CorpusEntry(new_tree, dirty[idx].covariate)
+            break
+    repairs.reverse()
+    return dirty, truth, repairs
+
+
 def inject_corpus(entries: list[CorpusEntry], seed: int,
                   inject_fraction: float = 0.25,
                   graft_fraction: float = 0.45,
                   config: DetectorConfig = DetectorConfig()):
-    """Inject anomalies into a fraction of corpus trees.
+    """Inject one anomaly into each of a sampled fraction of trees.
 
-    Misconnection grafts scale with the host tree so the distortion is
-    visible at corpus level.  Returns the dirtied entries, ground-truth
-    (subject, region code, kind, locus) rows, and the repair script that
-    undoes every injection.
+    A tree too small for its kind stays clean.  Misconnection grafts scale
+    with the host tree so the distortion is visible at corpus level.
     """
     rng = random.Random(seed ^ 0x1AB0)
-    dirty = list(entries)
-    truth = []
-    repairs = []
-    n_inject = int(len(dirty) * inject_fraction)
-    indices = rng.sample(range(len(dirty)), n_inject)
+    n_inject = int(len(entries) * inject_fraction)
+    indices = rng.sample(range(len(entries)), n_inject)
     k = max(n_inject // 8, 1)
     kinds = ([FlagKind.MISCONNECTION] * (n_inject - 2 * k)
              + [FlagKind.VEIN] * k + [FlagKind.STARTING_POINT] * k)
-    for idx, kind in zip(indices, kinds):
-        entry = dirty[idx]
-        graft = None
-        if kind is FlagKind.MISCONNECTION:
-            graft = max(config.misconnection_min_subtree + 2,
-                        min(int(entry.tree.node_count * graft_fraction),
-                            max_graft_size(entry.tree), 300))
-        try:
-            tree, locus = inject_anomaly(entry.tree, kind, rng.randrange(2**62),
-                                         config, graft_size=graft)
-        except TreeTooSmallError:
-            continue
-        repairs.append(repair_operation(entry.tree, kind, locus))
-        truth.append((entry.tree.subject_id, entry.tree.region.value, kind, locus))
-        dirty[idx] = CorpusEntry(tree, entry.covariate)
-    repairs.reverse()  # later injections undone first
-    return dirty, truth, repairs
+    plan = [(kind, [idx]) for idx, kind in zip(indices, kinds)]
+    return inject_plan(entries, plan, rng, config, graft_fraction)

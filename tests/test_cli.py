@@ -1,4 +1,10 @@
+import hashlib
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlview.cli import (
     EXIT_DATA_ERROR,
@@ -55,6 +61,22 @@ def test_render_is_deterministic_across_runs_and_jobs(tmp_path):
         assert pa.read_bytes() == pb.read_bytes()
 
 
+def test_render_stops_at_a_bad_file_at_every_jobs(tmp_path):
+    out = tmp_path / "corpus"
+    assert run("synth", "--subjects", "2", "--seed", "5", "--out-dir", str(out)) == EXIT_OK
+    inputs = sorted(str(p) for p in out.glob("*.dltree"))
+    bad = tmp_path / "bad.dltree"
+    bad.write_text("HEADER s9 B\n(r:1.0\n")
+    inputs.insert(4, str(bad))
+    written = []
+    for jobs in ("1", "2"):
+        svg_dir = tmp_path / f"svg{jobs}"
+        assert run("render", *inputs, "--out-dir", str(svg_dir),
+                   "--jobs", jobs) == EXIT_DATA_ERROR
+        written.append(sorted(p.name for p in svg_dir.glob("*.svg")))
+    assert written[0] == written[1] == [Path(p).stem + ".svg" for p in inputs[:4]]
+
+
 def test_data_error_exit_code(tmp_path):
     bad = tmp_path / "bad.vess"
     bad.write_text("HEADER only\n")
@@ -70,8 +92,62 @@ def test_parse_inject_spec():
     assert parse_inject_spec("vein=2,misconnection=1,startingpoint=3") == {
         FlagKind.VEIN: 2, FlagKind.MISCONNECTION: 1, FlagKind.STARTING_POINT: 3,
     }
-    with pytest.raises(DataError):
-        parse_inject_spec("veins=2")
+    assert parse_inject_spec("Vein=0") == {FlagKind.VEIN: 0}
+    for bad in ("veins=2", "vein=-1", "vein=x", "vein=", "vein=1,vein=2", "vein=1,"):
+        with pytest.raises(DataError, match="bad --inject entry"):
+            parse_inject_spec(bad)
+
+
+def test_bad_inject_spec_exits_without_writing(tmp_path, capsys):
+    out = tmp_path / "corpus"
+    assert run("synth", "--subjects", "2", "--seed", "5", "--inject", "vein=x",
+               "--out-dir", str(out)) == EXIT_DATA_ERROR
+    assert "bad --inject entry 'vein=x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_inject_output_is_pinned(tmp_path):
+    """Every byte synth writes: trees, ages, ground truth and repair script."""
+    out = tmp_path / "corpus"
+    assert run("synth", "--subjects", "12", "--seed", "5", "--effect", "0.005",
+               "--inject", "vein=3,misconnection=2,startingpoint=2",
+               "--out-dir", str(out)) == EXIT_OK
+    files = sorted(out.iterdir())
+    h = hashlib.sha256()
+    for p in files:
+        h.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
+    assert (len(files), h.hexdigest()) == (
+        51, "7e2e519f24bfc5a7d2898786bbe3fbb0db7aaf2f7b23c9645878782ffc1bbc07")
+
+
+def _rows(path: Path) -> list[tuple[str, ...]]:
+    return sorted(tuple(line.split("\t")[:4]) for line in path.read_text().splitlines()[1:])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), subjects=st.integers(2, 4),
+       counts=st.tuples(*[st.integers(0, 3)] * 3))
+def test_synth_scan_repair_loop(seed, subjects, counts):
+    """synth's ground truth is exactly what scan reports, and its repairs scan clean."""
+    spec = ",".join(f"{k}={n}" for k, n in zip(("vein", "misconnection", "startingpoint"),
+                                                counts))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus, fixed = tmp / "corpus", tmp / "fixed"
+        code = run("synth", "--subjects", str(subjects), "--seed", str(seed),
+                   "--inject", spec, "--out-dir", str(corpus))
+        if code == EXIT_DATA_ERROR:  # too few trees that can host the asked kinds
+            assert not corpus.exists()
+            return
+        assert code == EXIT_OK
+        truth = _rows(corpus / "ground_truth.tsv")
+        assert len(truth) == sum(counts)
+        assert run("scan", str(corpus), "--report", str(tmp / "flags.tsv")) == (
+            EXIT_FLAGS_FOUND if truth else EXIT_OK)
+        assert _rows(tmp / "flags.tsv") == truth
+        assert run("apply-edits", str(corpus), "--script", str(corpus / "repairs.edits"),
+                   "--out-dir", str(fixed)) == EXIT_OK
+        assert run("scan", str(fixed), "--report", str(tmp / "reflags.tsv")) == EXIT_OK
 
 
 def test_scan_clean_corpus_exit_zero(tmp_path):
@@ -184,6 +260,7 @@ def small_corpus(tmp_path):
     ("s000\tB\tVein", "line 3: not enough values to unpack (expected 5, got 3)"),
     ("s000\tB\tVien\tn3\t0.5000", "line 3: 'Vien' is not a valid FlagKind"),
     ("s000\tB\tVein\tn3\tlots", "line 3: could not convert string to float: 'lots'"),
+    ("s000\tQ\tVein\tn3\t0.5000", "line 3: unknown region code 'Q'"),
 ])
 def test_bad_flags_row_names_file_and_line(tmp_path, capsys, small_corpus, row, problem):
     flags = tmp_path / "flags.tsv"
@@ -192,6 +269,7 @@ def test_bad_flags_row_names_file_and_line(tmp_path, capsys, small_corpus, row, 
                "--out", str(tmp_path / "t.tsv"), "--flags", str(flags),
                "--summary-out", str(tmp_path / "s.tsv")) == EXIT_DATA_ERROR
     assert f"{flags}: {problem}" in capsys.readouterr().err
+    assert not (tmp_path / "t.tsv").exists()
     assert not (tmp_path / "s.tsv").exists()
 
 
