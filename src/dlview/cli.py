@@ -129,9 +129,14 @@ def cmd_render(args) -> int:
     out_dir = Path(args.out_dir)
     options = RenderOptions(width=args.width, height=args.height)
     config = LayoutConfig(jitter_salt=args.jitter_seed_salt)
+    outputs = {}  # every output name is checked before anything is written
     for path in map(Path, args.inputs):
+        svg_path = out_dir / (path.stem + ".svg")
+        if outputs.setdefault(svg_path, path) is not path:
+            raise DataError(f"{outputs[svg_path]} and {path} both render to {svg_path}")
+    for svg_path, path in outputs.items():
         svg = render_svg(build_layout(_load_tree(path), config), options)
-        _write_atomic(out_dir / (path.stem + ".svg"), svg)
+        _write_atomic(svg_path, svg)
     return EXIT_OK
 
 
@@ -236,16 +241,21 @@ def _corpus_entries(directory: Path, ages: dict[str, float]) -> list[CorpusEntry
 
 def cmd_stats(args) -> int:
     ages = _read_covariates(Path(args.covariates))
-    primary = stats.region_age_analysis(_corpus_entries(Path(args.directory), ages))
-    baseline = None
-    if args.compare:
-        baseline = stats.region_age_analysis(_corpus_entries(Path(args.compare), ages))
+    entries = _corpus_entries(Path(args.directory), ages)
+    primary = stats.region_age_analysis(entries)
+    compared = _corpus_entries(Path(args.compare), ages) if args.compare else []
+    baseline = stats.region_age_analysis(compared) if args.compare else None
     summary = None
     if args.flags:
         try:
             records = detect.flags_from_tsv(Path(args.flags).read_text(encoding="utf-8"))
         except ValueError as e:
             raise DataError(f"{args.flags}: {e}")
+        trees = {(e.tree.subject_id, e.tree.region.value) for e in entries + compared}
+        for r in records:
+            if (r.subject_id, r.region_code) not in trees:
+                where = f"{args.directory} or {args.compare}" if args.compare else args.directory
+                raise DataError(f"{args.flags}: no tree {r.subject_id}/{r.region_code} in {where}")
         # every tree of the corpus is a point of its region's regression
         summary = stats.summarize_flags(records, sum(r.n for r in primary.values()))
     # written only once every input has been read and checked

@@ -1,26 +1,25 @@
 """Shared domain types for vessel graphs and the binary component trees.
 
 Everything here is immutable after construction; tree edits build new trees.
-They do so by path copying (`BinaryTree.with_subtree`): only the ancestors
-of the changed node are copied, and every other subtree is shared, node for
-node, between the old tree and the new one.
 
-Per-node subtree quantities come from one preorder interval index per tree
-(`BinaryTree.preorder`, built on first use and then cached).  Nodes are
-numbered in preorder, left before right, so the root is 0 and every parent
-precedes its children.  With size[i] the node count of the subtree under
-node i (the node included), that subtree is exactly the slice
-[i, i + size[i]) of the preorder arrays; the left child, if any, sits at
-i + 1 and the right child at i + 1 + size of the left subtree.
+A BinaryTree is three preorder tuples: node ids, thicknesses and subtree
+sizes (size[i] counts the nodes under node i, itself included).  Nodes are
+numbered in preorder, left before right, so the subtree under node i is the
+slice [i, i + size[i]), its left child sits at i + 1 and its right child at
+i + 1 + size[i + 1].  A lone child is a left child, as the .dltree format
+cannot tell the sides apart.  Parents and levels are derived on first use.
+An edit is a slice (`subtree`) or a `splice`.  BinaryNode is only a builder
+(`BinaryTree(subject, region, root_node)` flattens a hand-made graph) and a
+view (`BinaryTree.root`); no stage uses it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 
 class Region(enum.Enum):
@@ -137,7 +136,7 @@ def _id_sort_key(sid: str):
 
 @dataclass(frozen=True)
 class BinaryNode:
-    """One vessel trunk between two split points.
+    """One vessel trunk between two split points: a builder and a view only.
 
     thickness is the trunk's median diameter in mm; None only for the
     phantom root joining two root vessels.
@@ -161,67 +160,80 @@ class BinaryNode:
         return self.left is None and self.right is None
 
 
-class PreorderIndex(NamedTuple):
-    """Per-node arrays of one tree, indexed by preorder position."""
-
-    nodes: list[BinaryNode]
-    parent: list[int]  # -1 for the root
-    level: list[int]   # the root sits at level 0
-    size: list[int]    # nodes in the subtree, the node itself included
+def subtree_sizes(parent: list[int]) -> list[int]:
+    """Subtree node counts from preorder parent positions (-1 for the root)."""
+    size = [1] * len(parent)
+    for i in range(len(parent) - 1, 0, -1):
+        size[parent[i]] += size[i]
+    return size
 
 
 @dataclass(frozen=True)
 class BinaryTree:
     subject_id: str
     region: Region
-    root: BinaryNode
-    node_count: int = field(default=0)
+    root_node: InitVar[Optional[BinaryNode]] = None
+    ids: tuple[str, ...] = ()
+    thickness: tuple[Optional[float], ...] = ()
+    size: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        nodes: list[BinaryNode] = []
+    def __post_init__(self, root_node):
+        ids, thickness, size = self.ids, self.thickness, self.size
+        if root_node is not None:
+            ids, thickness, parent = [], [], []
+            stack = [(root_node, -1)]
+            while stack:
+                node, p = stack.pop()
+                parent.append(p)
+                ids.append(node.node_id)
+                thickness.append(node.thickness)
+                for child in (node.right, node.left):
+                    if child is not None:
+                        stack.append((child, len(ids) - 1))
+            size = subtree_sizes(parent)
+        for name, value in (("ids", ids), ("thickness", thickness), ("size", size)):
+            object.__setattr__(self, name, tuple(value))
         position: dict[str, int] = {}
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.node_id in position:
-                raise ValueError(f"duplicate node_id {node.node_id!r}")
-            position[node.node_id] = len(nodes)
-            nodes.append(node)
-            if node.right is not None:
-                stack.append(node.right)
-            if node.left is not None:
-                stack.append(node.left)
-        if self.node_count == 0:
-            object.__setattr__(self, "node_count", len(nodes))
-        elif self.node_count != len(nodes):
-            raise ValueError(
-                f"node_count {self.node_count} != reachable nodes {len(nodes)}"
-            )
-        if self.root.thickness is None and len(self.root.children) != 2:
+        for i, node_id in enumerate(self.ids):
+            if node_id in position:
+                raise ValueError(f"duplicate node_id {node_id!r}")
+            position[node_id] = i
+        if self.thickness[0] is None and len(self.children(0)) != 2:
             raise ValueError("phantom root must have exactly 2 children")
-        for node in nodes:
-            if node.thickness is None and node is not self.root:
-                raise ValueError(f"non-root node {node.node_id!r} lacks thickness")
-        object.__setattr__(self, "_nodes", nodes)
+        if None in self.thickness[1:]:
+            node_id = self.ids[self.thickness.index(None, 1)]
+            raise ValueError(f"non-root node {node_id!r} lacks thickness")
         object.__setattr__(self, "_position", position)
 
+    @property
+    def node_count(self) -> int:
+        return len(self.ids)
+
+    def children(self, i: int) -> tuple[int, ...]:
+        """Preorder positions of node i's children, left first."""
+        size = self.size
+        if size[i] == 1:
+            return ()
+        right = i + 1 + size[i + 1]
+        return (i + 1, right) if right < i + size[i] else (i + 1,)
+
     @cached_property
-    def preorder(self) -> PreorderIndex:
-        """The preorder interval index (see the module docstring)."""
-        nodes = self._nodes
-        n = len(nodes)
-        parent = [-1] * n
-        level = [0] * n
-        for i, node in enumerate(nodes):
-            for c in (node.left, node.right):
-                if c is not None:
-                    j = self._position[c.node_id]
-                    parent[j] = i
-                    level[j] = level[i] + 1
-        size = [1] * n
-        for i in range(n - 1, 0, -1):
-            size[parent[i]] += size[i]
-        return PreorderIndex(nodes, parent, level, size)
+    def parent(self) -> list[int]:
+        """Preorder position of each node's parent; -1 for the root."""
+        parent = [-1] * len(self.size)
+        for i in range(len(parent)):
+            for c in self.children(i):
+                parent[c] = i
+        return parent
+
+    @cached_property
+    def level(self) -> list[int]:
+        """Depth of each node; the root sits at level 0."""
+        parent = self.parent
+        level = [0] * len(parent)
+        for i in range(1, len(parent)):
+            level[i] = level[parent[i]] + 1
+        return level
 
     def position(self, node_id: str) -> int:
         """Preorder position of the node."""
@@ -232,43 +244,61 @@ class BinaryTree:
                 f"node {node_id!r} not in tree {self.subject_id}/{self.region.value}"
             )
 
-    def node(self, node_id: str) -> BinaryNode:
-        return self._nodes[self.position(node_id)]
-
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self._position
-
     def parent_id(self, node_id: str) -> Optional[str]:
-        p = self.preorder.parent[self.position(node_id)]
-        return None if p < 0 else self._nodes[p].node_id
+        p = self.parent[self.position(node_id)]
+        return None if p < 0 else self.ids[p]
+
+    def subtree(self, i: int) -> "BinaryTree":
+        """The subtree under node i as a tree of its own."""
+        if i == 0:
+            return self
+        end = i + self.size[i]
+        return BinaryTree(self.subject_id, self.region, ids=self.ids[i:end],
+                          thickness=self.thickness[i:end], size=self.size[i:end])
+
+    def splice(self, i: int, ids, thickness, size) -> "BinaryTree":
+        """This tree with the subtree under node i replaced by one subtree's
+        preorder ids, thicknesses and sizes; only i's ancestors change size."""
+        end = i + self.size[i]
+        head = list(self.size[:i])
+        a = self.parent[i]
+        while a >= 0:
+            head[a] += len(ids) - self.size[i]
+            a = self.parent[a]
+        return BinaryTree(self.subject_id, self.region,
+                          ids=self.ids[:i] + tuple(ids) + self.ids[end:],
+                          thickness=self.thickness[:i] + tuple(thickness) + self.thickness[end:],
+                          size=tuple(head) + tuple(size) + self.size[end:])
+
+    @cached_property
+    def _view(self) -> list[BinaryNode]:
+        nodes: list = [None] * len(self.ids)
+        for i in range(len(nodes) - 1, -1, -1):
+            nodes[i] = BinaryNode(self.ids[i], self.thickness[i],
+                                  *(nodes[c] for c in self.children(i)))
+        return nodes
+
+    @property
+    def root(self) -> BinaryNode:
+        """The tree as linked BinaryNodes, built on first use."""
+        return self._view[0]
 
     def nodes(self) -> Iterator[BinaryNode]:
-        """Pre-order traversal, left before right."""
-        return iter(self._nodes)
+        """The BinaryNode view in preorder, left before right."""
+        return iter(self._view)
 
-    def with_subtree(self, node_id: str, repl: BinaryNode) -> "BinaryTree":
-        """This tree with the subtree under node_id replaced by repl.
-
-        Copies only the node's ancestors; every other subtree is shared.
-        """
-        nodes, parent = self._nodes, self.preorder.parent
-        i = self.position(node_id)
-        while parent[i] >= 0:
-            p = nodes[parent[i]]
-            left, right = (repl, p.right) if p.left is nodes[i] else (p.left, repl)
-            repl = BinaryNode(p.node_id, p.thickness, left, right)
-            i = parent[i]
-        return BinaryTree(self.subject_id, self.region, repl)
+    def node(self, node_id: str) -> BinaryNode:
+        return self._view[self.position(node_id)]
 
 
 def descendant_count(tree: BinaryTree, node_id: str) -> int:
     """Number of proper descendants of the node (the node itself excluded)."""
-    return tree.preorder.size[tree.position(node_id)] - 1
+    return tree.size[tree.position(node_id)] - 1
 
 
 def node_level(tree: BinaryTree, node_id: str) -> int:
     """Depth of the node; the root sits at level 0."""
-    return tree.preorder.level[tree.position(node_id)]
+    return tree.level[tree.position(node_id)]
 
 
 @dataclass(frozen=True)

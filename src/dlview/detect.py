@@ -49,11 +49,10 @@ class FlagRecord:
 
 def detect_misconnection(tree: BinaryTree, config: DetectorConfig = DetectorConfig()):
     """Flag maximal nodes whose subtree median thickness jumps above the parent."""
-    nodes, parent, _, size = tree.preorder
-    thickness = [n.thickness for n in nodes]
+    ids, thickness, size, parent = tree.ids, tree.thickness, tree.size, tree.parent
     flags = []
     i = 1
-    while i < len(nodes):
+    while i < len(ids):
         parent_t = thickness[parent[i]]
         # only the root can lack a thickness, and no subtree below it holds the root
         if parent_t is not None and size[i] >= config.misconnection_min_subtree:
@@ -61,7 +60,7 @@ def detect_misconnection(tree: BinaryTree, config: DetectorConfig = DetectorConf
             if med - parent_t - config.epsilon_mm > 0:
                 flags.append(FlagRecord(
                     tree.subject_id, tree.region.value,
-                    FlagKind.MISCONNECTION, nodes[i].node_id, med - parent_t,
+                    FlagKind.MISCONNECTION, ids[i], med - parent_t,
                 ))
                 i += size[i]  # maximal node only; descendants not re-reported
                 continue
@@ -69,54 +68,42 @@ def detect_misconnection(tree: BinaryTree, config: DetectorConfig = DetectorConf
     return flags
 
 
-def _heavy_path(tree: BinaryTree):
-    """Root-to-leaf path always descending into the child with more descendants."""
-    nodes, _, _, size = tree.preorder
-    path = []
+def detect_starting_point(tree: BinaryTree, config: DetectorConfig = DetectorConfig()):
+    """Flag the root when its heavy path, which always descends into the child
+    with more descendants, starts with a chain of thick nodes."""
+    chain = []
     i = 0
     while True:
-        path.append(nodes[i])
-        kids = []
-        j = i + 1
-        for _ in nodes[i].children:  # left first, so a tie keeps the left child
-            kids.append(j)
-            j += size[j]
+        t = tree.thickness[i]
+        if t is not None:  # the phantom root carries no thickness
+            if t < config.startpoint_thick_mm:
+                break
+            chain.append(t)
+        kids = tree.children(i)
         if not kids:
-            return path
-        i = max(kids, key=size.__getitem__)
-
-
-def detect_starting_point(tree: BinaryTree, config: DetectorConfig = DetectorConfig()):
-    """Flag the root when its heavy path starts with a chain of thick nodes."""
-    path = _heavy_path(tree)
-    if path and path[0].thickness is None:  # phantom root carries no thickness
-        path = path[1:]
-    chain = []
-    for node in path:
-        if node.thickness is not None and node.thickness >= config.startpoint_thick_mm:
-            chain.append(node.thickness)
-        else:
             break
+        i = max(kids, key=tree.size.__getitem__)  # the first of equals: a tie keeps the left child
     if len(chain) < config.startpoint_min_chain:
         return []
     mean_excess = statistics.fmean(t - config.startpoint_thick_mm for t in chain)
     return [FlagRecord(
         tree.subject_id, tree.region.value, FlagKind.STARTING_POINT,
-        tree.root.node_id, len(chain) * mean_excess,
+        tree.ids[0], len(chain) * mean_excess,
     )]
 
 
 def detect_vein(tree: BinaryTree, config: DetectorConfig = DetectorConfig()):
     """Flag leaves thicker than their parent beyond the error tolerance."""
+    ids, thickness, size = tree.ids, tree.thickness, tree.size
     flags = []
-    for node in tree.nodes():
-        if node.thickness is None:
+    for i, t in enumerate(thickness):
+        if t is None:
             continue
-        for child in node.children:
-            if child.is_leaf and child.thickness > node.thickness + config.epsilon_mm:
+        for c in tree.children(i):
+            if size[c] == 1 and thickness[c] > t + config.epsilon_mm:
                 flags.append(FlagRecord(
                     tree.subject_id, tree.region.value, FlagKind.VEIN,
-                    child.node_id, child.thickness - node.thickness,
+                    ids[c], thickness[c] - t,
                 ))
     return flags
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import BinaryNode, BinaryTree, Region, UnknownNodeError
+from .core import BinaryTree, Region, UnknownNodeError
 
 
 @dataclass(frozen=True)
@@ -56,38 +56,37 @@ class EditScriptError(ValueError):
 
 
 def delete_subtree(tree: BinaryTree, node_id: str) -> BinaryTree:
-    """Remove the node's subtree; only the parent and its ancestors are rebuilt.
+    """Remove the node's subtree; only the sizes along the parent's path change.
 
     If the node was an only child, its parent becomes a leaf.  Otherwise the
     parent merges with the surviving child (mean thickness), except that a
     phantom root is replaced by the surviving vessel.
     """
     i = tree.position(node_id)
-    nodes, parent_of = tree.preorder.nodes, tree.preorder.parent
-    if parent_of[i] < 0:
+    p = tree.parent[i]
+    if p < 0:
         raise EditScriptError("cannot delete the root subtree (exclude the case instead)")
-    parent = nodes[parent_of[i]]
-    survivor = parent.right if parent.left is nodes[i] else parent.left
-    if survivor is None:
-        repl = BinaryNode(parent.node_id, parent.thickness)
-    elif parent.thickness is None:
-        repl = survivor  # phantom root no longer joins two vessels
-    else:
-        merged_t = (parent.thickness + survivor.thickness) / 2.0
-        repl = BinaryNode(parent.node_id, merged_t, survivor.left, survivor.right)
-    return tree.with_subtree(parent.node_id, repl)
+    kids = tree.children(p)
+    if len(kids) == 1:
+        return tree.splice(i, (), (), ())  # the parent is left a leaf
+    survivor = kids[1] if kids[0] == i else kids[0]
+    if tree.thickness[p] is None:
+        return tree.subtree(survivor)  # phantom root no longer joins two vessels
+    end = survivor + tree.size[survivor]
+    merged_t = (tree.thickness[p] + tree.thickness[survivor]) / 2.0
+    return tree.splice(p, (tree.ids[p],) + tree.ids[survivor + 1:end],
+                       (merged_t,) + tree.thickness[survivor + 1:end],
+                       tree.size[survivor:end])
 
 
 def delete_leaf(tree: BinaryTree, node_id: str) -> BinaryTree:
-    node = tree.node(node_id)
-    if not node.is_leaf:
+    if tree.size[tree.position(node_id)] != 1:
         raise EditScriptError(f"node {node_id!r} is not a leaf")
     return delete_subtree(tree, node_id)
 
 
 def trim_root(tree: BinaryTree, new_root_node_id: str) -> BinaryTree:
-    new_root = tree.node(new_root_node_id)
-    return BinaryTree(tree.subject_id, tree.region, new_root)
+    return tree.subtree(tree.position(new_root_node_id))
 
 
 def parse_script(text: str) -> list[ScriptLine]:

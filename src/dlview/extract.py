@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import statistics
 
-from .core import BinaryNode, BinaryTree, RawVesselGraph, _id_sort_key
+from .core import BinaryTree, RawVesselGraph, _id_sort_key, subtree_sizes
 
 
 def extract_binary_tree(graph: RawVesselGraph) -> BinaryTree:
@@ -25,48 +25,42 @@ def extract_binary_tree(graph: RawVesselGraph) -> BinaryTree:
             f"{len(roots)} roots in {graph.subject_id}/{graph.region.value}; "
             "only 1 or 2 root vessels are supported"
         )
-    trunks: dict[str, BinaryNode] = {}
-    for r in roots:
-        _collapse_from(graph, r, trunks)
+    ids, thickness, parent = [], [], []
+    # (parent position, head segment, comb step k: the synthetic trunk head~k
+    # if k >= 1, thickness, child segments: None until the chain is walked)
     if len(roots) == 1:
-        root = trunks[roots[0]]
+        stack = [(-1, roots[0], 0, None, None)]
     else:
+        stack = [(-1, "", 0, None, roots)]
+    while stack:
+        p, head, step, t, kids = stack.pop()
+        if kids is None:
+            # walk down the unary chain starting at head, pooling point radii
+            radii: list[float] = []
+            cur = head
+            while True:
+                radii.extend(pt.radius for pt in graph.segments[cur].points)
+                kids = graph.children_of(cur)
+                if len(kids) != 1:
+                    break
+                cur = kids[0]
+            t = 2.0 * statistics.median(radii)
+        i = len(ids)
+        ids.append(f"{head}~{step}" if step else head)
+        thickness.append(t)
+        parent.append(p)
+        if kids:
+            # kids[step] on the left; on the right the next comb trunk, or the last child
+            if step < len(kids) - 2:
+                stack.append((i, head, step + 1, t, kids))
+            else:
+                stack.append((i, kids[-1], 0, None, None))
+            stack.append((i, kids[step], 0, None, None))
+    if len(roots) == 2:
         # synthetic trunk ids end in a digit, so only a trunk named after a
         # segment can take the phantom's name
-        pid = _fresh_id("phantom", trunks)
-        root = BinaryNode(pid, None, trunks[roots[0]], trunks[roots[1]])
-    return BinaryTree(subject_id=graph.subject_id, region=graph.region, root=root)
-
-
-def _fresh_id(base: str, used) -> str:
-    nid = base
-    while nid in used:
-        nid += "~"
-    return nid
-
-
-def _collapse_from(graph: RawVesselGraph, sid: str, trunks: dict[str, BinaryNode]) -> None:
-    """Build the trunk tree under segment sid into `trunks`, keyed by head segment id."""
-    found = []  # (head, thickness, child heads); a trunk precedes its children
-    stack = [sid]
-    while stack:
-        head = stack.pop()
-        # walk down the unary chain starting at head, pooling point radii
-        radii: list[float] = []
-        cur = head
-        while True:
-            radii.extend(p.radius for p in graph.segments[cur].points)
-            kids = graph.children_of(cur)
-            if len(kids) != 1:
-                break
-            cur = kids[0]
-        found.append((head, 2.0 * statistics.median(radii), kids))
-        stack.extend(kids)
-    for head, thickness, kids in reversed(found):
-        left = right = None
-        if kids:
-            # >= 3 children: right-leaning comb of synthetic trunks head~1, head~2, ...
-            left, right = trunks[kids[0]], trunks[kids[-1]]
-            for k in range(len(kids) - 2, 0, -1):
-                right = BinaryNode(f"{head}~{k}", thickness, trunks[kids[k]], right)
-        trunks[head] = BinaryNode(head, thickness, left, right)
+        ids[0] = "phantom"
+        while ids[0] in ids[1:]:
+            ids[0] += "~"
+    return BinaryTree(graph.subject_id, graph.region, ids=ids, thickness=thickness,
+                      size=subtree_sizes(parent))

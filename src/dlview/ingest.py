@@ -18,7 +18,6 @@ import re
 from typing import Optional, Union
 
 from .core import (
-    BinaryNode,
     BinaryTree,
     RawVesselGraph,
     Region,
@@ -253,16 +252,11 @@ def parse_dltree(text: Union[str, bytes]) -> BinaryTree:
     except ValueError as e:
         raise SyntaxParseError(str(e), 1)
     body = "".join(l.strip() for l in lines[body_start:] if not l.strip().startswith("#"))
-    root, pos = _parse_node(body, 0)
+    ids, thickness, size, pos = _parse_body(body)
     if body[pos:].strip():
         raise SyntaxParseError(f"trailing input after tree expression", 2, pos)
-    tree = _build_tree(toks[1], region, root)
-    return tree
-
-
-def _build_tree(subject_id: str, region: Region, root: BinaryNode) -> BinaryTree:
     try:
-        return BinaryTree(subject_id=subject_id, region=region, root=root)
+        return BinaryTree(toks[1], region, ids=ids, thickness=thickness, size=size)
     except ValueError as e:
         msg = str(e)
         if "duplicate" in msg:
@@ -270,9 +264,11 @@ def _build_tree(subject_id: str, region: Region, root: BinaryNode) -> BinaryTree
         raise SyntaxParseError(msg)
 
 
-def _parse_node(s: str, pos: int) -> tuple[BinaryNode, int]:
-    """Parse one tree expression at pos; returns the root and the position after it."""
-    open_nodes: list[tuple[str, Optional[float], list[BinaryNode]]] = []
+def _parse_body(s: str):
+    """Preorder ids, thicknesses and sizes of the tree at s[0:], and its end."""
+    ids, thickness, size = [], [], []
+    open_nodes: list[list[int]] = []  # [position, children so far] per unclosed node
+    pos = 0
     while True:
         pos = _skip_ws(s, pos)
         if pos >= len(s) or s[pos] != "(":
@@ -286,35 +282,39 @@ def _parse_node(s: str, pos: int) -> tuple[BinaryNode, int]:
         if pos >= len(s) or s[pos] != ":":
             raise SyntaxParseError("expected ':' after node id", 2, pos)
         pos = _skip_ws(s, pos + 1)
-        thickness: Optional[float]
+        t: Optional[float]
         if pos < len(s) and s[pos] == "_":
-            thickness = None
+            t = None
             pos += 1
         else:
             m = _NUM_RE.match(s, pos)
             if not m:
                 raise SyntaxParseError("expected thickness number or '_'", 2, pos)
-            thickness = float(m.group(0))
-            if thickness < 0:
+            t = float(m.group(0))
+            if t < 0:
                 raise NegativeThicknessError(
                     f"node {node_id!r} has negative thickness", 2, pos
                 )
             pos = m.end()
-        open_nodes.append((node_id, thickness, []))
+        if open_nodes:
+            open_nodes[-1][1] += 1
+        open_nodes.append([len(ids), 0])
+        ids.append(node_id)
+        thickness.append(t)
+        size.append(0)  # set when the node closes
         pos = _skip_ws(s, pos)
         # close nodes until one continues with a ',' child
         while pos >= len(s) or s[pos] != ",":
-            node_id, thickness, children = open_nodes.pop()
-            if len(children) > 2:
+            i, children = open_nodes.pop()
+            if children > 2:
                 raise TooManyChildrenError(
-                    f"node {node_id!r} has {len(children)} children", 2, pos
+                    f"node {ids[i]!r} has {children} children", 2, pos
                 )
             if pos >= len(s) or s[pos] != ")":
                 raise SyntaxParseError("expected ')'", 2, pos)
-            node = BinaryNode(node_id, thickness, *children)
+            size[i] = len(ids) - i
             if not open_nodes:
-                return node, pos + 1
-            open_nodes[-1][2].append(node)
+                return ids, thickness, size, pos + 1
             pos = _skip_ws(s, pos + 1)
         pos += 1
 
@@ -327,17 +327,12 @@ def _skip_ws(s: str, pos: int) -> int:
 
 def serialize_dltree(tree: BinaryTree) -> bytes:
     """Canonical form: left child first, thickness with exactly 4 decimals."""
+    closes = [0] * (tree.node_count + 1)  # [k]: subtrees whose last node is k - 1
+    for j, s in enumerate(tree.size):
+        closes[j + s] += 1
     parts: list[str] = []
-    unopened: list[int] = []  # children not yet written, per open node
-    for node in tree.nodes():
-        if unopened:
-            unopened[-1] -= 1
-            parts.append(",")
-        t = "_" if node.thickness is None else f"{node.thickness:.4f}"
-        parts.append(f"({node.node_id}:{t}")
-        unopened.append((node.left is not None) + (node.right is not None))
-        while unopened and unopened[-1] == 0:
-            unopened.pop()
-            parts.append(")")
+    for i, (node_id, t) in enumerate(zip(tree.ids, tree.thickness)):
+        t = "_" if t is None else f"{t:.4f}"
+        parts.append(f"({node_id}:{t}" + ")" * closes[i + 1])
     header = f"HEADER {tree.subject_id} {tree.region.value}"
-    return (header + "\n" + "".join(parts) + "\n").encode("utf-8")
+    return (header + "\n" + ",".join(parts) + "\n").encode("utf-8")

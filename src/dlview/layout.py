@@ -96,23 +96,23 @@ def apply_jitter(placements, subject_id: str, region_code: str,
 
 
 def build_layout(tree: BinaryTree, config: LayoutConfig = LayoutConfig()) -> DlLayout:
-    nodes, parent, level, size = tree.preorder
+    ids, parent, level, size = tree.ids, tree.parent, tree.level, tree.size
     placements = []
     edges = []
     histogram = [0] * BIN_COUNT
     tmin = tmax = None
-    for i, node in enumerate(nodes):
+    for i, t in enumerate(tree.thickness):
         y = y_coordinate(size[i] - 1)
-        if node.thickness is None:
+        if t is None:
             cb = None
         else:
-            cb = color_bin(node.thickness)
+            cb = color_bin(t)
             histogram[cb] += 1
-            tmin = node.thickness if tmin is None else min(tmin, node.thickness)
-            tmax = node.thickness if tmax is None else max(tmax, node.thickness)
-        placements.append(DlNodePlacement(node.node_id, level[i], y, y, cb))
+            tmin = t if tmin is None else min(tmin, t)
+            tmax = t if tmax is None else max(tmax, t)
+        placements.append(DlNodePlacement(ids[i], level[i], y, y, cb))
         if i:
-            edges.append((nodes[parent[i]].node_id, node.node_id))
+            edges.append((ids[parent[i]], ids[i]))
     placements = apply_jitter(placements, tree.subject_id, tree.region.value, config)
     return DlLayout(
         subject_id=tree.subject_id,

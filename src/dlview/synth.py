@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .core import BinaryNode, BinaryTree, CorpusEntry, Region
+from .core import BinaryTree, CorpusEntry, Region, subtree_sizes
 from .detect import DetectorConfig, FlagKind
 
 
@@ -45,22 +45,24 @@ def _branch_p(params: GenParams, level: int) -> float:
 def generate_tree(params: GenParams, seed: int, subject_id: str = "synth",
                   region: Region = Region.BACK) -> BinaryTree:
     rng = random.Random(seed)
-    counter = [0]
-
-    def fresh() -> str:
-        counter[0] += 1
-        return f"n{counter[0]}"
-
-    def grow(level: int, thickness: float) -> BinaryNode:
-        nid = fresh()
+    thickness, parent = [], []
+    # (parent position, level, thickness).  The rng draws in preorder: a node's
+    # branch decision, the left child's thickness, the left subtree, then the
+    # right child's thickness, which is None until the right child is popped.
+    stack = [(-1, 0, params.t0)]
+    while stack:
+        p, level, t = stack.pop()
+        if t is None:
+            t = _child_thickness(rng, params, thickness[p], level)
+        i = len(thickness)
+        thickness.append(t)
+        parent.append(p)
         if rng.random() < _branch_p(params, level):
-            kids = [grow(level + 1, _child_thickness(rng, params, thickness, level + 1))
-                    for _ in range(2)]
-            return BinaryNode(nid, thickness, kids[0], kids[1])
-        return BinaryNode(nid, thickness)
-
-    root = grow(0, params.t0)
-    return BinaryTree(subject_id, region, root)
+            stack.append((i, level + 1, None))
+            stack.append((i, level + 1, _child_thickness(rng, params, t, level + 1)))
+    ids = [f"n{k}" for k in range(1, len(thickness) + 1)]
+    return BinaryTree(subject_id, region, ids=ids, thickness=thickness,
+                      size=subtree_sizes(parent))
 
 
 def _child_thickness(rng, params: GenParams, parent_t: float, level: int) -> float:
@@ -97,42 +99,34 @@ def inject_anomaly(tree: BinaryTree, kind: FlagKind, seed: int,
     raise ValueError(f"unknown anomaly kind {kind!r}")
 
 
-def _used_ids(tree: BinaryTree) -> set[str]:
-    return {n.node_id for n in tree.nodes()}
-
-
 def _inject_vein(tree: BinaryTree, rng, config: DetectorConfig):
     """Split a leaf into a normal child plus an over-thick vein leaf.
 
     Hosts are restricted to leaves at level >= 2, below the generator's
     thickness cap, so the thick vein can never extend a root chain.
     """
-    nodes, _, level, _ = tree.preorder
-    leaves = [n for n, lv in zip(nodes, level) if n.is_leaf and lv >= 2]
+    leaves = [i for i, s in enumerate(tree.size) if s == 1 and tree.level[i] >= 2]
     if not leaves:
         raise TreeTooSmallError("no deep leaf to attach a vein to")
     host = leaves[rng.randrange(len(leaves))]
-    used = _used_ids(tree)
+    used = set(tree.ids)
     vein_id, sib_id = f"vein{rng.randrange(10**6)}", f"sib{rng.randrange(10**6)}"
     while vein_id in used or sib_id in used:
         vein_id, sib_id = vein_id + "x", sib_id + "x"
-    vein_t = host.thickness + 5 * config.epsilon_mm
-    sibling = BinaryNode(sib_id, host.thickness * 0.9)
-    vein = BinaryNode(vein_id, vein_t)
-    new_host = BinaryNode(host.node_id, host.thickness, sibling, vein)
-    return tree.with_subtree(host.node_id, new_host), vein_id
+    t = tree.thickness[host]
+    return tree.splice(host, [tree.ids[host], sib_id, vein_id],
+                       [t, t * 0.9, t + 5 * config.epsilon_mm], [3, 1, 1]), vein_id
 
 
 def _graft_sites(tree: BinaryTree):
-    """(parent, leaf, node count of the leaf's sibling subtree) for each leaf with a sibling."""
-    nodes, _, _, size = tree.preorder
-    for i, node in enumerate(nodes):
-        if node.left is None or node.right is None:
-            continue
-        left, right = i + 1, i + 1 + size[i + 1]
-        for leaf, sib in ((left, right), (right, left)):
-            if nodes[leaf].is_leaf:
-                yield node, nodes[leaf], size[sib]
+    """(parent, leaf, leaf's sibling subtree size) positions per leaf with a sibling."""
+    size = tree.size
+    for i in range(tree.node_count):
+        kids = tree.children(i)
+        if len(kids) == 2:
+            for leaf, sib in (kids, kids[::-1]):
+                if size[leaf] == 1:
+                    yield i, leaf, size[sib]
 
 
 def _inject_misconnection(tree: BinaryTree, rng, config: DetectorConfig,
@@ -148,51 +142,40 @@ def _inject_misconnection(tree: BinaryTree, rng, config: DetectorConfig,
     if not candidates:
         raise TreeTooSmallError("no leaf with a large enough sibling subtree")
     parent, host = candidates[rng.randrange(len(candidates))]
-    used = _used_ids(tree)
-    tag = rng.randrange(10**6)
-    graft_t0 = parent.thickness + 5 * config.epsilon_mm
-    graft = _grow_graft(rng, graft_t0, graft_size_target, f"mc{tag}", used)
-    return tree.with_subtree(host.node_id, graft), graft.node_id
-
-
-def _grow_graft(rng, t0: float, size: int, prefix: str, used: set[str]) -> BinaryNode:
-    """Left-leaning thick chain of `size` nodes, barely thinning.
-
-    The per-step shrink is kept so close to 1 that even a 300-node graft's
-    median stays above 0.8 * t0, which keeps the subtree median above
-    parent + epsilon for any realistic parent thickness.
-    """
-    nodes = []
-    t = t0
-    for i in range(size):
+    used = set(tree.ids)
+    prefix = f"mc{rng.randrange(10**6)}"
+    # A left-leaning chain, each node the only child of the one before.  The
+    # per-step shrink is kept so close to 1 that even a 300-node graft's
+    # median stays above 0.8 times its root's thickness, which keeps the
+    # subtree median above parent + epsilon for any realistic parent thickness.
+    ids, thickness = [], []
+    t = tree.thickness[parent] + 5 * config.epsilon_mm
+    for i in range(graft_size_target):
         nid = f"{prefix}.{i}"
         while nid in used:
             nid += "x"
         used.add(nid)
-        nodes.append((nid, t))
+        ids.append(nid)
+        thickness.append(t)
         t *= rng.uniform(0.9990, 0.9998)
-    cur = None
-    for nid, thickness in reversed(nodes):
-        cur = BinaryNode(nid, thickness, cur, None)
-    return cur
+    return tree.splice(host, ids, thickness, range(len(ids), 0, -1)), ids[0]
 
 
 def _inject_starting_point(tree: BinaryTree, config: DetectorConfig):
     """Prepend a chain of over-thick trunks above the current root."""
-    if tree.root.thickness is None:
+    if tree.thickness[0] is None:
         raise TreeTooSmallError("cannot prepend above a phantom root")
-    used = _used_ids(tree)
-    count = config.startpoint_min_chain + 1
-    base = max(config.startpoint_thick_mm, tree.root.thickness) + config.epsilon_mm
-    cur = tree.root
-    for i in range(count):
+    used = set(tree.ids)
+    base = max(config.startpoint_thick_mm, tree.thickness[0]) + config.epsilon_mm
+    for i in range(config.startpoint_min_chain + 1):
         nid = f"sp{i}"
         while nid in used:
             nid += "x"
         used.add(nid)
-        cur = BinaryNode(nid, base + 0.1 * (i + 1), cur, None)
-    new_tree = BinaryTree(tree.subject_id, tree.region, cur)
-    return new_tree, new_tree.root.node_id
+        # the new node becomes the root, with the old root as its only child
+        tree = tree.splice(0, (nid,) + tree.ids, (base + 0.1 * (i + 1),) + tree.thickness,
+                           (tree.node_count + 1,) + tree.size)
+    return tree, tree.ids[0]
 
 
 def max_graft_size(tree: BinaryTree) -> int:
@@ -209,7 +192,7 @@ def repair_operation(tree_before: BinaryTree, kind: FlagKind, locus: str):
     elif kind is FlagKind.MISCONNECTION:
         op = edit.DeleteSubtree(locus)
     else:
-        op = edit.TrimRoot(tree_before.root.node_id)
+        op = edit.TrimRoot(tree_before.ids[0])
     return edit.ScriptLine(tree_before.subject_id, tree_before.region, op)
 
 

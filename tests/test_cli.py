@@ -1,4 +1,5 @@
 import hashlib
+import random
 import tempfile
 from pathlib import Path
 
@@ -14,7 +15,11 @@ from dlview.cli import (
     main,
     parse_inject_spec,
 )
+from dlview.core import Region
 from dlview.detect import FlagKind
+from dlview.ingest import serialize_vess
+
+from conftest import random_vess_graph
 
 MINIMAL_VESS = """\
 HEADER sub1 B
@@ -77,6 +82,17 @@ def test_render_stops_at_a_bad_file_at_every_jobs(tmp_path):
     assert written[0] == written[1] == [Path(p).stem + ".svg" for p in inputs[:4]]
 
 
+def test_render_rejects_inputs_with_one_output_name(tmp_path, capsys):
+    one, two = tmp_path / "d1" / "s000_B.dltree", tmp_path / "d2" / "s000_B.dltree"
+    for path in (one, two):
+        path.parent.mkdir()
+        path.write_text("HEADER s000 B\n(r:1.0)\n")
+    svg_dir = tmp_path / "svg"
+    assert run("render", str(one), str(two), "--out-dir", str(svg_dir)) == EXIT_DATA_ERROR
+    assert f"{one} and {two} both render to" in capsys.readouterr().err
+    assert not svg_dir.exists()
+
+
 def test_data_error_exit_code(tmp_path):
     bad = tmp_path / "bad.vess"
     bad.write_text("HEADER only\n")
@@ -106,18 +122,47 @@ def test_bad_inject_spec_exits_without_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def _digest(directory: Path) -> tuple[int, str]:
+    """File count and sha256 over the sorted files, each as `name\\0bytes\\0`."""
+    files = sorted(directory.iterdir())
+    h = hashlib.sha256()
+    for p in files:
+        h.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
+    return len(files), h.hexdigest()
+
+
 def test_synth_inject_output_is_pinned(tmp_path):
-    """Every byte synth writes: trees, ages, ground truth and repair script."""
+    """Every byte synth writes (trees, ages, ground truth and repair script),
+    and the bytes of its repaired trees and of its SVGs."""
     out = tmp_path / "corpus"
     assert run("synth", "--subjects", "12", "--seed", "5", "--effect", "0.005",
                "--inject", "vein=3,misconnection=2,startingpoint=2",
                "--out-dir", str(out)) == EXIT_OK
-    files = sorted(out.iterdir())
-    h = hashlib.sha256()
-    for p in files:
-        h.update(p.name.encode() + b"\0" + p.read_bytes() + b"\0")
-    assert (len(files), h.hexdigest()) == (
+    assert _digest(out) == (
         51, "7e2e519f24bfc5a7d2898786bbe3fbb0db7aaf2f7b23c9645878782ffc1bbc07")
+    assert run("apply-edits", str(out), "--script", str(out / "repairs.edits"),
+               "--out-dir", str(tmp_path / "fixed")) == EXIT_OK
+    assert _digest(tmp_path / "fixed") == (
+        48, "2422f6fd14a546068ac0136717daf932c65d2dc23daf7b84525bab33cf7acf3a")
+    assert run("render", *sorted(map(str, out.glob("*.dltree"))),
+               "--out-dir", str(tmp_path / "svg")) == EXIT_OK
+    assert _digest(tmp_path / "svg") == (
+        48, "b09e0d7b2922415b11961bb5d558e17c7ebccbdef18e467f054ab6477f721d92")
+
+
+def test_extract_output_is_pinned(tmp_path):
+    rng = random.Random(7)
+    inputs = []
+    for i in range(40):
+        graph = random_vess_graph(rng, max_segments=60, subject_id=f"g{i:02d}",
+                                  region=list(Region)[i % 4])
+        inputs.append(tmp_path / f"g{i:02d}.vess")
+        inputs[-1].write_bytes(serialize_vess(graph))
+    out = tmp_path / "trees"
+    assert run("extract", *map(str, inputs), "--out-dir", str(out)) == EXIT_OK
+    assert sum(p.read_bytes().count(b"(") for p in out.iterdir()) == 724
+    assert _digest(out) == (
+        40, "0dd6ab41f2c256511f3c332d2a3f8822381b2896da8779a9fca0b5fb9dcaccec")
 
 
 def _rows(path: Path) -> list[tuple[str, ...]]:
@@ -261,6 +306,7 @@ def small_corpus(tmp_path):
     ("s000\tB\tVien\tn3\t0.5000", "line 3: 'Vien' is not a valid FlagKind"),
     ("s000\tB\tVein\tn3\tlots", "line 3: could not convert string to float: 'lots'"),
     ("s000\tQ\tVein\tn3\t0.5000", "line 3: unknown region code 'Q'"),
+    ("s900\tB\tVein\tn3\t0.5000", "no tree s900/B in "),
 ])
 def test_bad_flags_row_names_file_and_line(tmp_path, capsys, small_corpus, row, problem):
     flags = tmp_path / "flags.tsv"
@@ -293,3 +339,57 @@ def test_bad_script_region_names_script_and_line(tmp_path, capsys, small_corpus)
     assert run("apply-edits", str(small_corpus), "--script", str(script),
                "--out-dir", str(tmp_path / "fixed")) == EXIT_DATA_ERROR
     assert f"{script}: line 2: unknown region code 'Q'" in capsys.readouterr().err
+
+
+def _mutate(rng: random.Random, data: bytes) -> bytes:
+    """One to three random edits: drop, insert or repeat bytes, or cut the tail."""
+    alphabet = b"()_,:.-e#*=\t\n 0123456789nsBLRFQ\xff"
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(data) + 1)
+        op = rng.randrange(4)
+        if op == 0:
+            data = data[:i] + data[i + rng.randint(1, 4):]
+        elif op == 1:
+            data = data[:i] + bytes([rng.choice(alphabet)]) + data[i:]
+        elif op == 2:
+            j = rng.randint(i, min(i + 40, len(data)))
+            data = data[:i] + data[i:j] * 2 + data[j:]
+        else:
+            data = data[:i]
+    return data
+
+
+def test_cli_survives_mutated_inputs(tmp_path):
+    """Every command exits 0, 1 or 3 on mutated input files, never with a traceback."""
+    rng = random.Random(20240607)
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--subjects", "3", "--seed", "4", "--inject",
+               "vein=1,misconnection=1,startingpoint=1", "--out-dir", str(corpus)) == EXIT_OK
+    flags, config = tmp_path / "flags.tsv", tmp_path / "detect.cfg"
+    assert run("scan", str(corpus), "--report", str(flags)) == EXIT_FLAGS_FOUND
+    config.write_text("epsilon_mm = 0.3\nmisconnection_min_subtree = 3\n")
+    vess = tmp_path / "a.vess"
+    vess.write_bytes(serialize_vess(random_vess_graph(rng, max_segments=12)))
+    trees = sorted(corpus.glob("*.dltree"))
+    others = [corpus / "repairs.edits", corpus / "ages.tsv", flags, config, vess]
+    out = tmp_path / "out"
+
+    def commands():
+        yield "scan", str(corpus), "--report", str(out / "f.tsv"), "--config", str(config)
+        yield ("apply-edits", str(corpus), "--script", str(corpus / "repairs.edits"),
+               "--out-dir", str(out / "fixed"))
+        yield "render", *map(str, trees[:2]), "--out-dir", str(out / "svg")
+        yield ("stats", str(corpus), "--covariates", str(corpus / "ages.tsv"),
+               "--out", str(out / "t.tsv"), "--flags", str(flags),
+               "--summary-out", str(out / "s.tsv"))
+        yield "extract", str(vess), "--out-dir", str(out / "trees")
+
+    for _ in range(80):
+        target = rng.choice([rng.choice(trees), *others])
+        original = target.read_bytes()
+        target.write_bytes(_mutate(rng, original))
+        try:
+            for argv in commands():
+                assert run(*argv) in (EXIT_OK, EXIT_DATA_ERROR, EXIT_FLAGS_FOUND), argv
+        finally:
+            target.write_bytes(original)

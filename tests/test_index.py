@@ -1,4 +1,4 @@
-"""Property tests: the preorder-index readers and path-copy edits against
+"""Property tests: the preorder-array readers and splice edits against
 brute-force recursive oracles."""
 
 import math
@@ -172,7 +172,7 @@ def _remove(node, target_id):
 
 
 def _replace_node(node, target_id, repl):
-    """The recursive whole-tree rebuild that with_subtree replaced."""
+    """The recursive whole-tree rebuild that BinaryTree.splice replaced."""
     if node.node_id == target_id:
         return repl
     left = _replace_node(node.left, target_id, repl) if node.left else None
@@ -190,17 +190,10 @@ def shape(tree):
 def test_path_copy_edits_match_recursive_oracles(tree, data):
     target = data.draw(st.sampled_from([n.node_id for n in tree.nodes()]))
     repl = BinaryNode("new", 0.7, None, BinaryNode("new.1", 0.6))
-    out = tree.with_subtree(target, repl)
-    assert out.root == _replace_node(tree.root, target, repl)
-    # only the target's ancestors are copied; every other subtree is shared
-    old = {n.node_id: n for n in tree.nodes()}
-    copied = {n.node_id for n in out.nodes() if old.get(n.node_id) is not n}
-    ancestors = set()
-    p = tree.parent_id(target)
-    while p is not None:
-        ancestors.add(p)
-        p = tree.parent_id(p)
-    assert copied == ancestors | {"new", "new.1"}
+    block = BinaryTree("s", Region.BACK, repl)
+    out = tree.splice(tree.position(target), block.ids, block.thickness, block.size)
+    expected = BinaryTree(tree.subject_id, tree.region, _replace_node(tree.root, target, repl))
+    assert shape(out) == shape(expected)
 
     if target == tree.root.node_id:
         with pytest.raises(EditScriptError):
