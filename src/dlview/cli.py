@@ -117,10 +117,9 @@ def cmd_extract(args) -> int:
     out_dir = Path(args.out_dir)
     for path in map(Path, args.inputs):
         try:
-            graph = ingest.parse_vess(path.read_bytes())
-        except ingest.ParseError as e:
+            tree = extract_binary_tree(ingest.parse_vess(path.read_bytes()))
+        except ValueError as e:  # a ParseError, or a graph extraction rejects
             raise DataError(f"{path}: {e}")
-        tree = extract_binary_tree(graph)
         _write_atomic(out_dir / _tree_filename(tree), ingest.serialize_dltree(tree))
     return EXIT_OK
 
@@ -211,6 +210,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+# larger ages would overflow the regression's sums of squared deviations
+_MAX_COVARIATE = 1e150
+
+
 def _read_covariates(path: Path) -> dict[str, float]:
     ages = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
@@ -219,8 +222,8 @@ def _read_covariates(path: Path) -> dict[str, float]:
         try:
             subject, age = line.split("\t")
             value = float(age)
-            if not math.isfinite(value):
-                raise ValueError("age is not a finite number")
+            if not math.isfinite(value) or abs(value) > _MAX_COVARIATE:
+                raise ValueError("age is not a finite number in range")
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad covariate line {line!r}")
         if subject in ages:

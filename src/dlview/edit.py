@@ -89,6 +89,15 @@ def trim_root(tree: BinaryTree, new_root_node_id: str) -> BinaryTree:
     return tree.subtree(tree.position(new_root_node_id))
 
 
+# the script verb and the tree edit of each operation on one node
+_NODE_OPS = {
+    DeleteSubtree: ("DELETE_SUBTREE", delete_subtree),
+    TrimRoot: ("TRIM_ROOT", trim_root),
+    DeleteLeaf: ("DELETE_LEAF", delete_leaf),
+}
+_OP_OF_VERB = {verb: op for op, (verb, _) in _NODE_OPS.items()}
+
+
 def parse_script(text: str) -> list[ScriptLine]:
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -106,14 +115,9 @@ def parse_script(text: str) -> list[ScriptLine]:
             region = Region.from_code(region_code)
         except ValueError as e:
             raise EditScriptError(f"line {lineno}: {e}")
-        ops = {
-            "DELETE_SUBTREE": DeleteSubtree,
-            "TRIM_ROOT": TrimRoot,
-            "DELETE_LEAF": DeleteLeaf,
-        }
-        if verb not in ops:
+        if verb not in _OP_OF_VERB:
             raise EditScriptError(f"line {lineno}: unknown operation {verb!r}")
-        lines.append(ScriptLine(subject, region, ops[verb](node_id), lineno))
+        lines.append(ScriptLine(subject, region, _OP_OF_VERB[verb](node_id), lineno))
     return lines
 
 
@@ -123,10 +127,8 @@ def format_script(lines: list[ScriptLine]) -> str:
         if isinstance(line.op, ExcludeCase):
             out.append(f"{line.subject_id} * EXCLUDE")
             continue
-        verbs = {DeleteSubtree: "DELETE_SUBTREE", TrimRoot: "TRIM_ROOT",
-                 DeleteLeaf: "DELETE_LEAF"}
-        out.append(f"{line.subject_id} {line.region.value} "
-                   f"{verbs[type(line.op)]} {line.op.node_id}")
+        verb = _NODE_OPS[type(line.op)][0]
+        out.append(f"{line.subject_id} {line.region.value} {verb} {line.op.node_id}")
     return "".join(l + "\n" for l in out)
 
 
@@ -154,12 +156,7 @@ def apply_script(corpus: dict[tuple[str, str], BinaryTree],
             )
         tree = out[key]
         try:
-            if isinstance(line.op, DeleteSubtree):
-                out[key] = delete_subtree(tree, line.op.node_id)
-            elif isinstance(line.op, DeleteLeaf):
-                out[key] = delete_leaf(tree, line.op.node_id)
-            elif isinstance(line.op, TrimRoot):
-                out[key] = trim_root(tree, line.op.node_id)
+            out[key] = _NODE_OPS[type(line.op)][1](tree, line.op.node_id)
         except UnknownNodeError:
             raise EditScriptError(
                 f"line {line.lineno}: node {line.op.node_id!r} not in "

@@ -7,9 +7,10 @@
     CONNECT <parent_sid> <child_sid>
     ROOT <sid>
 
-.dltree:
-    line 1: HEADER <subject_id> <B|L|R|F>
-    line 2: tree := "(" id ":" (number | "_") { "," tree } ")"  with 0-2 children
+.dltree (blank and `#` lines skipped; the tree may span lines, spaces or tabs
+may sit between tokens, and errors give the file's own line and column):
+    HEADER <subject_id> <B|L|R|F>
+    tree := "(" id ":" (number | "_") { "," tree } ")"  with 0-2 children
 """
 
 from __future__ import annotations
@@ -71,10 +72,14 @@ _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9.+~-]*")
 _NUM_RE = re.compile(r"-?\d+(?:\.\d+)?")
 
 
-def _decode(text: Union[str, bytes]) -> str:
+def _lines(text: Union[str, bytes]):
+    """Number, raw text and stripped text of each line not blank or a `#` comment."""
     if isinstance(text, bytes):
-        return text.decode("utf-8")
-    return text
+        text = text.decode("utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, raw, line
 
 
 def _float(tok: str, lineno: int, what: str) -> float:
@@ -94,10 +99,7 @@ def parse_vess(text: Union[str, bytes]) -> RawVesselGraph:
     up: dict[str, str] = {}
     roots: list[str] = []
 
-    for lineno, raw in enumerate(_decode(text).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, _, line in _lines(text):
         toks = line.split()
         kind = toks[0]
         if kind == "HEADER":
@@ -194,23 +196,16 @@ def _find_root(up: dict[str, str], sid: str) -> str:
 
 def serialize_vess(graph: RawVesselGraph) -> bytes:
     """Canonical form: records sorted by id, point ids assigned sequentially."""
-    lines = [f"HEADER {graph.subject_id} {graph.region.value}"]
-    sids = sorted(graph.segments, key=_id_sort_key)
-    point_lines = []
+    point_lines: list[str] = []
     seg_lines = []
-    next_pid = 1
-    for sid in sids:
-        seg = graph.segments[sid]
+    for sid in sorted(graph.segments, key=_id_sort_key):
         pids = []
-        for pt in seg.points:
-            pid = f"p{next_pid}"
-            next_pid += 1
-            point_lines.append(
-                f"POINT {pid} {_num(pt.x)} {_num(pt.y)} {_num(pt.z)} {_num(pt.radius)}"
-            )
-            pids.append(pid)
+        for pt in graph.segments[sid].points:
+            pids.append(f"p{len(point_lines) + 1}")
+            point_lines.append(f"POINT {pids[-1]} {_num(pt.x)} {_num(pt.y)} {_num(pt.z)} "
+                               f"{_num(pt.radius)}")
         seg_lines.append(f"SEGMENT {sid} " + " ".join(pids))
-    lines += point_lines + seg_lines
+    lines = [f"HEADER {graph.subject_id} {graph.region.value}"] + point_lines + seg_lines
     for p, c in sorted(graph.edges, key=lambda e: (_id_sort_key(e[0]), _id_sort_key(e[1]))):
         lines.append(f"CONNECT {p} {c}")
     for r in sorted(graph.roots, key=_id_sort_key):
@@ -231,98 +226,102 @@ def _num(v: float) -> str:
 
 
 def parse_dltree(text: Union[str, bytes]) -> BinaryTree:
-    src = _decode(text)
-    lines = src.splitlines()
-    body_start = 0
-    header = None
-    for i, raw in enumerate(lines):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        header = line
-        body_start = i + 1
-        break
-    if header is None:
+    lines = list(_lines(text))
+    if not lines:
         raise SyntaxParseError("empty .dltree file")
+    hline, raw, header = lines[0]
     toks = header.split()
-    if len(toks) != 3 or toks[0] != "HEADER":
-        raise SyntaxParseError("line 1 must be HEADER <subject_id> <region>", 1)
     try:
+        if len(toks) != 3 or toks[0] != "HEADER":
+            raise ValueError("line 1 must be HEADER <subject_id> <region>")
         region = Region.from_code(toks[2])
     except ValueError as e:
-        raise SyntaxParseError(str(e), 1)
-    body = "".join(l.strip() for l in lines[body_start:] if not l.strip().startswith("#"))
-    ids, thickness, size, pos = _parse_body(body)
-    if body[pos:].strip():
-        raise SyntaxParseError(f"trailing input after tree expression", 2, pos)
+        raise SyntaxParseError(str(e), hline, raw.index(header) + 1)
+    body = "".join(line for _, _, line in lines[1:])
+
+    def at(pos: int) -> tuple[int, int]:
+        """File line and 1-based column of body offset pos."""
+        for line, raw, part in lines[1:]:
+            if pos < len(part):
+                return line, raw.index(part) + pos + 1
+            pos -= len(part)
+        line, raw, part = lines[-1]  # the body's end, or the header's if it is empty
+        return line, raw.index(part) + len(part) + 1
+
+    ids, thickness, size = _parse_body(body, at)
     try:
         return BinaryTree(toks[1], region, ids=ids, thickness=thickness, size=size)
     except ValueError as e:
         msg = str(e)
-        if "duplicate" in msg:
-            raise DuplicateIdError(msg)
-        raise SyntaxParseError(msg)
+        # the node the check stopped at: a repeated id, a later "_", or the root
+        first: dict[str, int] = {}
+        repeats = (k for k, x in enumerate(ids) if first.setdefault(x, k) != k)
+        j = next(repeats, thickness.index(None, 1) if "lacks" in msg else 0)
+        cls = DuplicateIdError if "duplicate" in msg else SyntaxParseError
+        raise cls(msg, *at([p for p, c in enumerate(body) if c == "("][j]))
 
 
-def _parse_body(s: str):
-    """Preorder ids, thicknesses and sizes of the tree at s[0:], and its end."""
+# The pieces that open a node, each after optional spaces or tabs, with the
+# error raised where the first one that is missing should be.
+_WS = re.compile(r"[ \t]*")
+_PIECES = (
+    ("open", re.compile(r"\("), "expected '('"),
+    ("id", _ID_RE, "expected node id"),
+    ("colon", re.compile(":"), "expected ':' after node id"),
+    ("thickness", re.compile("_|" + _NUM_RE.pattern), "expected thickness number or '_'"),
+)
+# One node as serialize_dltree writes it: its pieces, then the ')'s that close
+# it and its ancestors, and an optional ','.
+_NODE = re.compile("".join(f"{_WS.pattern}(?P<{name}>{p.pattern})" for name, p, _ in _PIECES)
+                   + r"(?P<closes>[ \t)]*)(?P<comma>,?)")
+
+
+def _parse_body(body: str, at):
+    """Preorder ids, thicknesses and sizes of the tree in body; at() locates errors."""
     ids, thickness, size = [], [], []
-    open_nodes: list[list[int]] = []  # [position, children so far] per unclosed node
+    stack: list[int] = []  # unclosed nodes; size holds minus their child count
     pos = 0
     while True:
-        pos = _skip_ws(s, pos)
-        if pos >= len(s) or s[pos] != "(":
-            raise SyntaxParseError("expected '('", 2, pos)
-        pos = _skip_ws(s, pos + 1)
-        m = _ID_RE.match(s, pos)
-        if not m:
-            raise SyntaxParseError("expected node id", 2, pos)
-        node_id = m.group(0)
-        pos = _skip_ws(s, m.end())
-        if pos >= len(s) or s[pos] != ":":
-            raise SyntaxParseError("expected ':' after node id", 2, pos)
-        pos = _skip_ws(s, pos + 1)
-        t: Optional[float]
-        if pos < len(s) and s[pos] == "_":
-            t = None
-            pos += 1
-        else:
-            m = _NUM_RE.match(s, pos)
-            if not m:
-                raise SyntaxParseError("expected thickness number or '_'", 2, pos)
-            t = float(m.group(0))
-            if t < 0:
-                raise NegativeThicknessError(
-                    f"node {node_id!r} has negative thickness", 2, pos
-                )
-            pos = m.end()
-        if open_nodes:
-            open_nodes[-1][1] += 1
-        open_nodes.append([len(ids), 0])
+        m = _NODE.match(body, pos)
+        if m is None:  # _NODE fails exactly where one of its pieces does
+            for _, piece, message in _PIECES:
+                pos = _WS.match(body, pos).end()
+                if (found := piece.match(body, pos)) is None:
+                    raise SyntaxParseError(message, *at(pos))
+                pos = found.end()
+        node_id, t, closes, comma = m.group("id", "thickness", "closes", "comma")
+        t = None if t == "_" else float(t)
+        if t is not None and t < 0:
+            raise NegativeThicknessError(
+                f"node {node_id!r} has negative thickness", *at(m.start("thickness")))
+        if stack:
+            size[stack[-1]] -= 1
+        stack.append(len(ids))
         ids.append(node_id)
         thickness.append(t)
-        size.append(0)  # set when the node closes
-        pos = _skip_ws(s, pos)
-        # close nodes until one continues with a ',' child
-        while pos >= len(s) or s[pos] != ",":
-            i, children = open_nodes.pop()
-            if children > 2:
+        size.append(0)
+        # close nodes; without a ',' the next one must close too
+        n = closes.count(")")
+        for k in range(n if comma else n + 1):
+            i = stack.pop()
+            if size[i] < -2:
                 raise TooManyChildrenError(
-                    f"node {ids[i]!r} has {children} children", 2, pos
-                )
-            if pos >= len(s) or s[pos] != ")":
-                raise SyntaxParseError("expected ')'", 2, pos)
+                    f"node {ids[i]!r} has {-size[i]} children", *at(_close_at(m, k)))
+            if k == n:
+                raise SyntaxParseError("expected ')'", *at(m.end()))
             size[i] = len(ids) - i
-            if not open_nodes:
-                return ids, thickness, size, pos + 1
-            pos = _skip_ws(s, pos + 1)
-        pos += 1
+            if not stack:
+                end = _close_at(m, k) + 1
+                if end < len(body):
+                    raise SyntaxParseError("trailing input after tree expression", *at(end))
+                return ids, thickness, size
+        pos = m.end()
 
 
-def _skip_ws(s: str, pos: int) -> int:
-    while pos < len(s) and s[pos] in " \t":
-        pos += 1
-    return pos
+def _close_at(m: re.Match, k: int) -> int:
+    """Body offset of the k-th ')' in node match m, or of the end of m."""
+    closes = [m.start("closes") + j for j, c in enumerate(m["closes"]) if c == ")"]
+    return closes[k] if k < len(closes) else m.end()
 
 
 def serialize_dltree(tree: BinaryTree) -> bytes:

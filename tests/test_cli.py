@@ -53,6 +53,15 @@ def test_extract_and_render(tmp_path):
     assert svg.startswith(b"<?xml")
 
 
+def test_extract_error_names_the_input(tmp_path, capsys):
+    vess = tmp_path / "three_roots.vess"
+    vess.write_text("HEADER g B\nPOINT p1 0 0 0 1\nPOINT p2 1 0 0 1\n"
+                    "SEGMENT 1 p1 p2\nSEGMENT 2 p1 p2\nSEGMENT 3 p1 p2\n"
+                    "ROOT 1\nROOT 2\nROOT 3\n")
+    assert run("extract", str(vess), "--out-dir", str(tmp_path / "out")) == EXIT_DATA_ERROR
+    assert f"error: {vess}: 3 roots in g/B" in capsys.readouterr().err
+
+
 def test_render_is_deterministic_across_runs_and_jobs(tmp_path):
     out = tmp_path / "corpus"
     assert run("synth", "--subjects", "3", "--seed", "5",
@@ -324,6 +333,7 @@ def test_bad_flags_row_names_file_and_line(tmp_path, capsys, small_corpus, row, 
     ("s001\tforty", "bad covariate line 's001\\tforty'"),
     ("s001\tnan", "bad covariate line 's001\\tnan'"),
     ("s000\t41.0", "subject 's000' listed twice"),
+    ("s001\t1e200", "bad covariate line 's001\\t1e200'"),
 ])
 def test_bad_covariate_line_names_file_and_line(tmp_path, capsys, small_corpus, row, problem):
     ages = tmp_path / "ages.tsv"
@@ -331,6 +341,16 @@ def test_bad_covariate_line_names_file_and_line(tmp_path, capsys, small_corpus, 
     assert run("stats", str(small_corpus), "--covariates", str(ages),
                "--out", str(tmp_path / "t.tsv")) == EXIT_DATA_ERROR
     assert f"{ages}:3: {problem}" in capsys.readouterr().err
+
+
+def test_huge_age_exits_with_the_covariates_file(tmp_path, capsys, small_corpus):
+    # every subject has an age, so only the size of one of them can fail
+    ages = tmp_path / "ages.tsv"
+    rows = (small_corpus / "ages.tsv").read_text().splitlines()
+    ages.write_text("\n".join(rows[:-1] + [rows[-1].split("\t")[0] + "\t1e200"]) + "\n")
+    assert run("stats", str(small_corpus), "--covariates", str(ages),
+               "--out", str(tmp_path / "t.tsv")) == EXIT_DATA_ERROR
+    assert f"{ages}:{len(rows)}: bad covariate line" in capsys.readouterr().err
 
 
 def test_bad_script_region_names_script_and_line(tmp_path, capsys, small_corpus):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -182,3 +183,40 @@ def _chain_expr(n):
     for i in range(n - 1, 0, -1):
         expr = f"(k{i}:1.0000,{expr})"
     return expr
+
+
+_GAPS = (" ", "\t", " \t ", "\n", "\n\n", "\n# a comment line ( : )\n", "\n   ", "\t\n# c\n\t")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dltree_reflowed_body_parses_to_the_same_tree(data):
+    """Whitespace, line breaks and comment lines between tokens change nothing."""
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    t = random_binary_tree(rng, max_nodes=40)
+    header, body = serialize_dltree(t).decode().split("\n", 1)
+    tokens = re.findall(r"[^(),:]+|[(),:]", body.strip())
+    gaps = data.draw(st.lists(st.sampled_from(("",) + _GAPS),
+                              min_size=len(tokens), max_size=len(tokens)))
+    text = "# leading comment\n\n" + header + "\n" + "".join(
+        g + tok for g, tok in zip(gaps, tokens)) + "\n# trailing comment\n"
+    assert parse_dltree(text) == t
+
+
+def test_dltree_errors_name_the_files_own_line_and_column():
+    text = "HEADER s B\n# note\n(r:1.0,\n(a:1.0),\n(b:x))\n"
+    with pytest.raises(SyntaxParseError, match="expected thickness number") as exc:
+        parse_dltree(text)
+    assert (exc.value.line, exc.value.col) == (5, 4)
+    # a bad header after comment lines is reported at its own line
+    with pytest.raises(SyntaxParseError, match="must be HEADER") as exc:
+        parse_dltree("# one\n# two\n  HEADER s\n(r:1)\n")
+    assert (exc.value.line, exc.value.col) == (3, 3)
+    # a repeated id is reported at its second node
+    with pytest.raises(DuplicateIdError) as exc:
+        parse_dltree("HEADER s B\n(r:1,\n  (a:1),\n  (a:2))\n")
+    assert (exc.value.line, exc.value.col) == (4, 3)
+    # a tree cut short is reported just after its last token
+    with pytest.raises(SyntaxParseError, match="expected '\\)'") as exc:
+        parse_dltree("HEADER s B\n(r:1,\n (a:1)\n\n# end\n")
+    assert (exc.value.line, exc.value.col) == (3, 7)
