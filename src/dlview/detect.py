@@ -11,6 +11,7 @@ measurement-error tolerance epsilon are left alone.
 from __future__ import annotations
 
 import enum
+import math
 import statistics
 from dataclasses import dataclass
 
@@ -48,16 +49,27 @@ class FlagRecord:
 
 
 def detect_misconnection(tree: BinaryTree, config: DetectorConfig = DetectorConfig()):
-    """Flag maximal nodes whose subtree median thickness jumps above the parent."""
+    """Flag maximal nodes whose subtree median thickness jumps above the parent.
+
+    A median never exceeds its subtree's maximum, and float subtraction is
+    monotone, so a node whose maximum clears no jump cannot flag: its median
+    is taken only when the maximum does."""
     ids, thickness, size, parent = tree.ids, tree.thickness, tree.size, tree.parent
+    epsilon = config.epsilon_mm
+    top = list(thickness)  # top[i]: the largest thickness in node i's subtree
+    top[0] = -math.inf  # the root is never a candidate, and may lack a thickness
+    for i in range(len(ids) - 1, 0, -1):
+        if top[i] > top[parent[i]]:
+            top[parent[i]] = top[i]
     flags = []
     i = 1
     while i < len(ids):
         parent_t = thickness[parent[i]]
         # only the root can lack a thickness, and no subtree below it holds the root
-        if parent_t is not None and size[i] >= config.misconnection_min_subtree:
+        if (parent_t is not None and size[i] >= config.misconnection_min_subtree
+                and top[i] - parent_t - epsilon > 0):
             med = statistics.median(thickness[i:i + size[i]])
-            if med - parent_t - config.epsilon_mm > 0:
+            if med - parent_t - epsilon > 0:
                 flags.append(FlagRecord(
                     tree.subject_id, tree.region.value,
                     FlagKind.MISCONNECTION, ids[i], med - parent_t,

@@ -29,10 +29,12 @@ from .core import (
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int = 0, col: int = 0):
+    def __init__(self, message: str, line: int = 0, col: Optional[int] = None):
         self.line = line
         self.col = col
-        loc = f" (line {line}, col {col})" if line else ""
+        loc = ""
+        if line:  # .vess errors know only the line
+            loc = f" (line {line})" if col is None else f" (line {line}, col {col})"
         super().__init__(message + loc)
 
 
@@ -233,7 +235,7 @@ def parse_dltree(text: Union[str, bytes]) -> BinaryTree:
     toks = header.split()
     try:
         if len(toks) != 3 or toks[0] != "HEADER":
-            raise ValueError("line 1 must be HEADER <subject_id> <region>")
+            raise ValueError("first non-comment line must be HEADER <subject_id> <region>")
         region = Region.from_code(toks[2])
     except ValueError as e:
         raise SyntaxParseError(str(e), hline, raw.index(header) + 1)

@@ -2,7 +2,13 @@
 thickness histogram and range for one tree.
 
 y = log2(descendants + 1), x = level.  Thickness maps linearly onto 100
-color bins over [0, 4] mm; anything thicker lands in the top bin.
+color bins over [0, 4] mm; anything thicker lands in the top bin.  Nodes
+below `low_y_threshold` are displaced by `jitter_offset`, the one spec of
+the jitter.
+
+`build_layout` visits each node once and builds its one placement there:
+the jitter reuses a sha256 state hashed once per tree over the shared key
+prefix, which gives `jitter_offset`'s digest.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import colorsys
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import BinaryTree
@@ -82,44 +88,36 @@ def jitter_offset(subject_id: str, region_code: str, node_id: str,
     return (2.0 * u - 1.0) * amplitude
 
 
-def apply_jitter(placements, subject_id: str, region_code: str,
-                 config: LayoutConfig = LayoutConfig()):
-    out = []
-    for p in placements:
-        if p.y < config.low_y_threshold:
-            dy = jitter_offset(subject_id, region_code, p.node_id,
-                               config.jitter_amplitude, config.jitter_salt)
-            out.append(DlNodePlacement(p.node_id, p.x, p.y, p.y + dy, p.color_bin))
-        else:
-            out.append(p)
-    return out
-
-
 def build_layout(tree: BinaryTree, config: LayoutConfig = LayoutConfig()) -> DlLayout:
     ids, parent, level, size = tree.ids, tree.parent, tree.level, tree.size
+    amplitude, low_y = config.jitter_amplitude, config.low_y_threshold
+    # jitter_offset's key up to the node id; utf-8 of a concatenation is the
+    # concatenation of the utf-8 parts
+    prefix = hashlib.sha256(
+        f"{config.jitter_salt}|{tree.subject_id}|{tree.region.value}|".encode("utf-8"))
     placements = []
-    edges = []
     histogram = [0] * BIN_COUNT
-    tmin = tmax = None
     for i, t in enumerate(tree.thickness):
-        y = y_coordinate(size[i] - 1)
+        y = math.log2(size[i])  # y_coordinate(size[i] - 1)
+        y_jittered = y
+        if y < low_y:
+            h = prefix.copy()
+            h.update(ids[i].encode("utf-8"))
+            u = int.from_bytes(h.digest()[:8], "big") / 2**64
+            y_jittered = y + (2.0 * u - 1.0) * amplitude
         if t is None:
             cb = None
         else:
             cb = color_bin(t)
             histogram[cb] += 1
-            tmin = t if tmin is None else min(tmin, t)
-            tmax = t if tmax is None else max(tmax, t)
-        placements.append(DlNodePlacement(ids[i], level[i], y, y, cb))
-        if i:
-            edges.append((ids[parent[i]], ids[i]))
-    placements = apply_jitter(placements, tree.subject_id, tree.region.value, config)
+        placements.append(DlNodePlacement(ids[i], level[i], y, y_jittered, cb))
+    present = [t for t in tree.thickness if t is not None]
     return DlLayout(
         subject_id=tree.subject_id,
         region_code=tree.region.value,
         placements=tuple(placements),
-        edges=tuple(edges),
+        edges=tuple((ids[parent[i]], ids[i]) for i in range(1, len(ids))),
         histogram=tuple(histogram),
-        thickness_min=tmin,
-        thickness_max=tmax,
+        thickness_min=min(present, default=None),
+        thickness_max=max(present, default=None),
     )

@@ -4,6 +4,9 @@ Main panel: gray parent-child segments under colored node dots.  Right
 sidebar: the 100-cell color bar next to per-bin count bars.  Top right:
 the thickness range annotation.  Only svg/g/circle/line/rect/text elements
 are emitted and identical layouts render to identical bytes.
+
+Each coordinate string is formatted once: a column's x once per level and
+a node's cy once per node; every segment and dot reuses them.
 """
 
 from __future__ import annotations
@@ -56,29 +59,29 @@ def render_svg(layout: DlLayout, options: RenderOptions = RenderOptions()) -> by
         f'height="{o.height}" viewBox="0 0 {o.width} {o.height}">',
     ]
 
-    pos = {p.node_id: p for p in layout.placements}
+    placements = layout.placements
+    col = {x: _fmt(sx(x)) for x in {p.x for p in placements}}
+    cxs = [col[p.x] for p in placements]
+    cys = [_fmt(sy(p.y_jittered)) for p in placements]
+    at = {p.node_id: i for i, p in enumerate(placements)}
     parts.append('<g stroke="#999999" stroke-width="1">')
     for parent_id, child_id in layout.edges:
-        a, b = pos[parent_id], pos[child_id]
-        parts.append(
-            f'<line x1="{_fmt(sx(a.x))}" y1="{_fmt(sy(a.y_jittered))}" '
-            f'x2="{_fmt(sx(b.x))}" y2="{_fmt(sy(b.y_jittered))}"/>'
-        )
+        a, b = at[parent_id], at[child_id]
+        parts.append(f'<line x1="{cxs[a]}" y1="{cys[a]}" x2="{cxs[b]}" y2="{cys[b]}"/>')
     parts.append("</g>")
 
+    r = _fmt(o.dot_radius)
     parts.append("<g>")
-    for p in layout.placements:
-        cx, cy = _fmt(sx(p.x)), _fmt(sy(p.y_jittered))
+    for p, cx, cy in zip(placements, cxs, cys):
         if p.color_bin is None:
             # phantom root: hollow gray dot, no thickness claim
             parts.append(
-                f'<circle cx="{cx}" cy="{cy}" r="{_fmt(o.dot_radius)}" '
+                f'<circle cx="{cx}" cy="{cy}" r="{r}" '
                 'fill="none" stroke="#888888" stroke-width="1.5"/>'
             )
         else:
             parts.append(
-                f'<circle cx="{cx}" cy="{cy}" r="{_fmt(o.dot_radius)}" '
-                f'fill="{COLOR_RAMP[p.color_bin]}"/>'
+                f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="{COLOR_RAMP[p.color_bin]}"/>'
             )
     parts.append("</g>")
 

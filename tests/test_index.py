@@ -2,10 +2,12 @@
 brute-force recursive oracles."""
 
 import math
+import random
 import statistics
+from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dlview.core import BinaryNode, BinaryTree, Region, descendant_count, node_level
@@ -19,13 +21,15 @@ from dlview.detect import (
 from dlview.edit import DeleteSubtree, EditScriptError, ScriptLine, apply_script, delete_subtree
 from dlview.ingest import parse_dltree, serialize_dltree
 from dlview.layout import (
+    COLOR_RAMP,
     DlNodePlacement,
-    apply_jitter,
+    LayoutConfig,
     build_layout,
     color_bin,
+    jitter_offset,
     y_coordinate,
 )
-from dlview.render import render_svg
+from dlview.render import RenderOptions, _fmt, _sidebar, render_svg
 
 from conftest import brute_descendants
 
@@ -107,7 +111,7 @@ def brute_misconnection(tree, epsilon=0.3, min_subtree=3):
     return flags
 
 
-def brute_layout(tree):
+def brute_layout(tree, config=LayoutConfig()):
     placements, edges = [], []
 
     def walk(node, level):
@@ -119,7 +123,16 @@ def brute_layout(tree):
             walk(c, level + 1)
 
     walk(tree.root, 0)
-    return apply_jitter(placements, tree.subject_id, tree.region.value), edges
+    return [apply_jitter(p, tree, config) for p in placements], edges
+
+
+def apply_jitter(p, tree, config):
+    """The placement displaced by jitter_offset when it sits below the threshold."""
+    if p.y >= config.low_y_threshold:
+        return p
+    dy = jitter_offset(tree.subject_id, tree.region.value, p.node_id,
+                       config.jitter_amplitude, config.jitter_salt)
+    return DlNodePlacement(p.node_id, p.x, p.y, p.y + dy, p.color_bin)
 
 
 @settings(max_examples=150, deadline=None)
@@ -135,23 +148,182 @@ def test_descendant_count_and_level_match_brute_force(tree):
             assert any(c is node for c in tree.node(parent).children)
 
 
+def _chain(thickness, below=None, prefix="c"):
+    """A chain of nodes, each the left child of the one before, over `below`."""
+    node = below
+    for i in reversed(range(len(thickness))):
+        node = BinaryNode(f"{prefix}{i}", thickness[i], node)
+    return node
+
+
+def _comb(depth, end):
+    """A thinning comb: `depth` spine nodes, each with a thin left leaf, over `end`."""
+    node = end
+    for i in reversed(range(depth)):
+        node = BinaryNode(f"s{i}", 3.0 * 0.97 ** i, BinaryNode(f"l{i}", 0.5), node)
+    return node
+
+
+# a thick leaf at the bottom of a thinning chain keeps every ancestor a candidate
+THICK_BOTTOM_LEAF = BinaryTree("s", Region.BACK, _chain(
+    [3.0 * 0.96 ** i for i in range(60)], BinaryNode("leaf", 3.9)))
+# a thick subtree at the end of a thinning comb's spine, 50 nodes down
+THICK_IN_COMB = BinaryTree("s", Region.LEFT, _comb(50, _chain([3.5, 3.6, 3.4, 3.7])))
+# at epsilon 0.5 the subtrees under a, b and c have maxima of parent_t + 0.5 in
+# decimal; in floats the bound is 0.0 under a, 1.1e-16 under b and -5.6e-17
+# under c, so only b's child flags
+EXACT_BOUND = BinaryTree("s", Region.BACK, BinaryNode(
+    "r", 2.0,
+    BinaryNode("a", 1.0, _chain([1.5, 1.5, 1.5], prefix="a")),
+    BinaryNode("m", 2.0,
+               BinaryNode("b", 0.6, _chain([1.1, 1.1, 1.1], prefix="b")),
+               BinaryNode("c", 0.2, _chain([0.7, 0.7, 0.7], prefix="c")))))
+
+
 @settings(max_examples=150, deadline=None)
 @given(trees, st.sampled_from([0.05, 0.3, 1.0]), st.integers(1, 6))
+@example(THICK_BOTTOM_LEAF, 0.3, 3)
+@example(THICK_BOTTOM_LEAF, 0.3, 1)
+@example(THICK_IN_COMB, 0.3, 3)
+@example(THICK_IN_COMB, 0.3, 5)
+@example(EXACT_BOUND, 0.5, 3)
 def test_misconnection_matches_brute_force_in_order(tree, epsilon, min_subtree):
     config = DetectorConfig(epsilon_mm=epsilon, misconnection_min_subtree=min_subtree)
     assert detect_misconnection(tree, config) == brute_misconnection(
         tree, epsilon, min_subtree)
 
 
+layout_configs = st.builds(
+    LayoutConfig,
+    jitter_amplitude=st.sampled_from([0.15, 0.4]),
+    low_y_threshold=st.sampled_from([3.0, 0.5, 12.0]),
+    jitter_salt=st.sampled_from(["", "alt", "sält|"]),
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(trees)
-def test_layout_matches_brute_force(tree):
-    layout = build_layout(tree)
-    placements, edges = brute_layout(tree)
+@given(trees, layout_configs)
+def test_layout_matches_brute_force(tree, config):
+    layout = build_layout(tree, config)
+    placements, edges = brute_layout(tree, config)
     assert list(layout.placements) == placements
     assert list(layout.edges) == edges
     thick = [n.thickness for n in tree.nodes() if n.thickness is not None]
     assert (layout.thickness_min, layout.thickness_max) == (min(thick), max(thick))
+
+
+def reference_render_svg(layout, o=RenderOptions()):
+    """The per-edge renderer: each segment and dot formats its own coordinates."""
+    plot_w = o.width - o.margin_left - o.margin_right
+    plot_h = o.height - o.margin_top - o.margin_bottom
+
+    max_x = max((p.x for p in layout.placements), default=0)
+    max_y = max((p.y_jittered for p in layout.placements), default=0.0)
+    max_y = max(max_y, max((p.y for p in layout.placements), default=0.0), 1e-9)
+    span_x = max(max_x, 1)
+
+    def sx(x):
+        return o.margin_left + x / span_x * plot_w
+
+    def sy(y):
+        return o.margin_top + (1.0 - y / max_y) * plot_h
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{o.width}" '
+        f'height="{o.height}" viewBox="0 0 {o.width} {o.height}">',
+    ]
+
+    pos = {p.node_id: p for p in layout.placements}
+    parts.append('<g stroke="#999999" stroke-width="1">')
+    for parent_id, child_id in layout.edges:
+        a, b = pos[parent_id], pos[child_id]
+        parts.append(
+            f'<line x1="{_fmt(sx(a.x))}" y1="{_fmt(sy(a.y_jittered))}" '
+            f'x2="{_fmt(sx(b.x))}" y2="{_fmt(sy(b.y_jittered))}"/>'
+        )
+    parts.append("</g>")
+
+    parts.append("<g>")
+    for p in layout.placements:
+        cx, cy = _fmt(sx(p.x)), _fmt(sy(p.y_jittered))
+        if p.color_bin is None:
+            parts.append(
+                f'<circle cx="{cx}" cy="{cy}" r="{_fmt(o.dot_radius)}" '
+                'fill="none" stroke="#888888" stroke-width="1.5"/>'
+            )
+        else:
+            parts.append(
+                f'<circle cx="{cx}" cy="{cy}" r="{_fmt(o.dot_radius)}" '
+                f'fill="{COLOR_RAMP[p.color_bin]}"/>'
+            )
+    parts.append("</g>")
+
+    parts.append('<g font-family="sans-serif" font-size="11" fill="#333333">')
+    for x in range(0, max_x + 1):
+        parts.append(
+            f'<text x="{_fmt(sx(x))}" y="{_fmt(o.height - o.margin_bottom + 16)}" '
+            f'text-anchor="middle">{x}</text>'
+        )
+    for y in range(0, int(max_y) + 1):
+        parts.append(
+            f'<text x="{_fmt(o.margin_left - 8)}" y="{_fmt(sy(y) + 4)}" '
+            f'text-anchor="end">{y}</text>'
+        )
+    if o.axis_labels:
+        parts.append(
+            f'<text x="{_fmt(o.margin_left + plot_w / 2)}" '
+            f'y="{_fmt(o.height - 12)}" text-anchor="middle">level</text>'
+        )
+        parts.append(
+            f'<text x="{_fmt(14.0)}" y="{_fmt(o.margin_top + plot_h / 2)}" '
+            f'text-anchor="middle" transform="rotate(-90 14.00 '
+            f'{_fmt(o.margin_top + plot_h / 2)})">log2(descendants + 1)</text>'
+        )
+    parts.append("</g>")
+
+    parts.append(_sidebar(layout, o, plot_h))
+
+    if layout.thickness_min is not None:
+        note = f"{layout.thickness_min:.2f}–{layout.thickness_max:.2f} mm"
+        parts.append(
+            f'<text x="{_fmt(o.width - 10)}" y="{_fmt(20.0)}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="13" fill="#000000">'
+            f"{escape(note)}</text>"
+        )
+
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+@st.composite
+def chains(draw):
+    """A unary chain of 1, 2 or 2000 nodes, deeper than the recursion limit."""
+    n = draw(st.sampled_from([1, 2, 2000]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    thickness = tuple(round(rng.uniform(0.0, 4.5), 4) for _ in range(n))
+    return BinaryTree("s", Region.RIGHT, ids=tuple(f"c{i}" for i in range(n)),
+                      thickness=thickness, size=tuple(range(n, 0, -1)))
+
+
+render_options = st.one_of(st.just(RenderOptions()), st.builds(
+    RenderOptions,
+    width=st.integers(50, 1500),
+    height=st.integers(50, 1200),
+    dot_radius=st.floats(0.1, 9.0),
+    margin_left=st.floats(0.0, 120.0),
+    margin_right=st.floats(0.0, 300.0),
+    margin_top=st.floats(0.0, 90.0),
+    margin_bottom=st.floats(0.0, 90.0),
+    axis_labels=st.booleans(),
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(trees, chains()), layout_configs, render_options)
+def test_render_matches_per_edge_reference(tree, config, options):
+    layout = build_layout(tree, config)
+    assert render_svg(layout, options) == reference_render_svg(layout, options)
 
 
 def _remove(node, target_id):

@@ -90,6 +90,7 @@ def test_vess_reports_line_numbers():
         parse_vess("HEADER s B\nPOINT p1 0 0 0 -1\n")
     except ParseError as e:
         assert e.line == 2
+        assert (e.col, str(e)) == (None, "point 'p1' has radius -1.0 <= 0 (line 2)")
     else:
         pytest.fail("expected ParseError")
 
@@ -209,7 +210,7 @@ def test_dltree_errors_name_the_files_own_line_and_column():
         parse_dltree(text)
     assert (exc.value.line, exc.value.col) == (5, 4)
     # a bad header after comment lines is reported at its own line
-    with pytest.raises(SyntaxParseError, match="must be HEADER") as exc:
+    with pytest.raises(SyntaxParseError, match="first non-comment line must be HEADER") as exc:
         parse_dltree("# one\n# two\n  HEADER s\n(r:1)\n")
     assert (exc.value.line, exc.value.col) == (3, 3)
     # a repeated id is reported at its second node

@@ -8,7 +8,6 @@ from dlview.layout import (
     BIN_COUNT,
     COLOR_RAMP,
     LayoutConfig,
-    apply_jitter,
     build_layout,
     color_bin,
     jitter_offset,
@@ -63,14 +62,17 @@ def test_jitter_bounds_threshold_and_determinism():
 
 
 def test_jitter_applied_only_below_threshold():
-    from dlview.layout import DlNodePlacement
-
-    high = DlNodePlacement("a", 0, 5.0, 5.0, 10)
-    low = DlNodePlacement("b", 1, 1.0, 1.0, 10)
-    out = apply_jitter([high, low], "s", "B")
-    assert out[0].y_jittered == 5.0
-    assert out[1].y_jittered != 1.0
-    assert abs(out[1].y_jittered - 1.0) <= 0.15
+    # a 9-node chain: y = log2(9 - i), at or above 3.0 only for the root
+    node = None
+    for i in reversed(range(9)):
+        node = BinaryNode(f"n{i}", 1.0, node)
+    lay = build_layout(BinaryTree("s", Region.BACK, node), LayoutConfig(jitter_salt="x"))
+    high, low = lay.placements[0], lay.placements[1]
+    assert high.y > 3.0 and high.y_jittered == high.y
+    assert low.y == 3.0 and low.y_jittered == low.y  # the threshold itself is not jittered
+    for p in lay.placements[2:]:
+        assert p.y_jittered == p.y + jitter_offset("s", "B", p.node_id, 0.15, "x")
+        assert p.y_jittered != p.y and abs(p.y_jittered - p.y) <= 0.15
 
 
 def test_colocated_leaves_get_distinct_jitter():
