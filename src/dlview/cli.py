@@ -92,8 +92,6 @@ def _read_config(path: Path | None) -> dict[str, int | float]:
                             f"(expected one of {', '.join(types)})")
         try:
             values[key] = int(value) if types[key] == "int" else float(value)
-            if not math.isfinite(values[key]):
-                raise ValueError("not a finite number")
             replace(DetectorConfig(), **{key: values[key]})
         except ValueError as e:
             raise DataError(f"{path}:{lineno}: bad value {value!r} for {key}: {e}")
@@ -127,6 +125,13 @@ def cmd_extract(args) -> int:
 def cmd_render(args) -> int:
     out_dir = Path(args.out_dir)
     options = RenderOptions(width=args.width, height=args.height)
+    # RenderOptions accepts any positive size; a figure needs room inside its margins
+    for flag, size, margins in (
+            ("--width", options.width, options.margin_left + options.margin_right),
+            ("--height", options.height, options.margin_top + options.margin_bottom)):
+        if size <= margins:
+            raise DataError(f"{flag} {size} leaves no room to plot: the margins take "
+                            f"{margins:g} px, so the minimum is {math.floor(margins) + 1}")
     config = LayoutConfig(jitter_salt=args.jitter_seed_salt)
     outputs = {}  # every output name is checked before anything is written
     for path in map(Path, args.inputs):

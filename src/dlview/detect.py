@@ -34,9 +34,11 @@ class DetectorConfig:
     startpoint_min_chain: int = 3
 
     def __post_init__(self):
-        if (self.epsilon_mm <= 0 or self.misconnection_min_subtree <= 0
-                or self.startpoint_thick_mm <= 0 or self.startpoint_min_chain <= 0):
-            raise ValueError("detector thresholds must be positive")
+        # NaN fails every comparison, so a NaN epsilon would silently flag nothing
+        if not all(math.isfinite(v) and v > 0 for v in (
+                self.epsilon_mm, self.misconnection_min_subtree,
+                self.startpoint_thick_mm, self.startpoint_min_chain)):
+            raise ValueError("detector thresholds must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,22 @@ the thickness range annotation.  Only svg/g/circle/line/rect/text elements
 are emitted and identical layouts render to identical bytes.
 
 Each coordinate string is formatted once: a column's x once per level and
-a node's cy once per node; every segment and dot reuses them.
+a node's cy once per node; every segment, dot and level tick reuses them.
+
+Every string that depends only on the RenderOptions (the header, the color
+bar, each bin's count-bar x and y, the mm ticks, the axis labels, the tick
+labels' fixed coordinate and the range note's position) is the figure's
+frame, built by ``_frame`` once per options value and cached.  A call
+formats only what depends on the layout: segments, dots, the tree's own
+tick labels, the widths of the non-empty count bars and the range text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
+from typing import NamedTuple
 from xml.sax.saxutils import escape
 
 from .layout import BIN_COUNT, COLOR_RAMP, THICKNESS_RANGE_MM, DlLayout
@@ -37,8 +47,90 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+class _Frame(NamedTuple):
+    head: str                     # XML declaration, <svg>, segment group opening
+    r: str                        # dot radius
+    tick_y: str                   # y of the x-axis tick labels
+    tick_x: str                   # x of the y-axis tick labels
+    axis_close: str               # axis-label <text>s, then </g>
+    color_rects: tuple[str, ...]  # per bin: its color-bar <rect>
+    hist_prefix: tuple[str, ...]  # per bin: a count bar's <rect> up to its width
+    hist_suffix: str              # a count bar's height and fill
+    hist_w_max: float             # width of the largest count bar
+    sidebar_close: str            # </g>, then the mm tick labels
+    note_open: str                # the range note's <text> opening tag
+
+
+@lru_cache(maxsize=16)
+def _frame(o: RenderOptions, width_type: type, height_type: type) -> _Frame:
+    # the types are part of the key: 640 == 640.0, but they print differently
+    plot_w = o.width - o.margin_left - o.margin_right
+    plot_h = o.height - o.margin_top - o.margin_bottom
+
+    head = "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{o.width}" '
+        f'height="{o.height}" viewBox="0 0 {o.width} {o.height}">',
+        '<g stroke="#999999" stroke-width="1">',
+    ])
+
+    axis = []
+    if o.axis_labels:
+        axis.append(
+            f'<text x="{_fmt(o.margin_left + plot_w / 2)}" '
+            f'y="{_fmt(o.height - 12)}" text-anchor="middle">level</text>'
+        )
+        axis.append(
+            f'<text x="{_fmt(14.0)}" y="{_fmt(o.margin_top + plot_h / 2)}" '
+            f'text-anchor="middle" transform="rotate(-90 14.00 '
+            f'{_fmt(o.margin_top + plot_h / 2)})">log2(descendants + 1)</text>'
+        )
+    axis.append("</g>")
+
+    bar_x = o.width - o.margin_right + 40
+    bar_w = 18.0
+    hist_x = bar_x + bar_w + 4
+    cell_h = plot_h / BIN_COUNT
+    color_rects, hist_prefix = [], []
+    for i in range(BIN_COUNT):
+        # bin 0 at the bottom
+        y = o.margin_top + (BIN_COUNT - 1 - i) * cell_h
+        color_rects.append(
+            f'<rect x="{_fmt(bar_x)}" y="{_fmt(y)}" width="{_fmt(bar_w)}" '
+            f'height="{_fmt(cell_h)}" fill="{COLOR_RAMP[i]}"/>'
+        )
+        hist_prefix.append(f'<rect x="{_fmt(hist_x)}" y="{_fmt(y)}" width="')
+
+    sidebar_close = ['</g>', '<g font-family="sans-serif" font-size="10" fill="#333333">']
+    for mm in range(0, int(THICKNESS_RANGE_MM) + 1):
+        y = o.margin_top + plot_h * (1 - mm / THICKNESS_RANGE_MM)
+        sidebar_close.append(
+            f'<text x="{_fmt(bar_x - 4)}" y="{_fmt(y + 3)}" '
+            f'text-anchor="end">{mm}</text>'
+        )
+    sidebar_close.append('</g>')
+
+    return _Frame(
+        head=head,
+        r=_fmt(o.dot_radius),
+        tick_y=_fmt(o.height - o.margin_bottom + 16),
+        tick_x=_fmt(o.margin_left - 8),
+        axis_close="\n".join(axis),
+        color_rects=tuple(color_rects),
+        hist_prefix=tuple(hist_prefix),
+        hist_suffix=f'" height="{_fmt(cell_h)}" fill="#555555"/>',
+        hist_w_max=o.margin_right - 40 - bar_w - 24,
+        sidebar_close="\n".join(sidebar_close),
+        note_open=(
+            f'<text x="{_fmt(o.width - 10)}" y="{_fmt(20.0)}" text-anchor="end" '
+            'font-family="sans-serif" font-size="13" fill="#000000">'
+        ),
+    )
+
+
 def render_svg(layout: DlLayout, options: RenderOptions = RenderOptions()) -> bytes:
     o = options
+    frame = _frame(o, type(o.width), type(o.height))
     plot_w = o.width - o.margin_left - o.margin_right
     plot_h = o.height - o.margin_top - o.margin_bottom
 
@@ -53,24 +145,19 @@ def render_svg(layout: DlLayout, options: RenderOptions = RenderOptions()) -> by
     def sy(y: float) -> float:
         return o.margin_top + (1.0 - y / max_y) * plot_h
 
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{o.width}" '
-        f'height="{o.height}" viewBox="0 0 {o.width} {o.height}">',
-    ]
+    parts = [frame.head]
 
     placements = layout.placements
-    col = {x: _fmt(sx(x)) for x in {p.x for p in placements}}
+    col = [_fmt(sx(x)) for x in range(max_x + 1)]
     cxs = [col[p.x] for p in placements]
     cys = [_fmt(sy(p.y_jittered)) for p in placements]
     at = {p.node_id: i for i, p in enumerate(placements)}
-    parts.append('<g stroke="#999999" stroke-width="1">')
     for parent_id, child_id in layout.edges:
         a, b = at[parent_id], at[child_id]
         parts.append(f'<line x1="{cxs[a]}" y1="{cys[a]}" x2="{cxs[b]}" y2="{cys[b]}"/>')
     parts.append("</g>")
 
-    r = _fmt(o.dot_radius)
+    r = frame.r
     parts.append("<g>")
     for p, cx, cy in zip(placements, cxs, cys):
         if p.color_bin is None:
@@ -87,72 +174,35 @@ def render_svg(layout: DlLayout, options: RenderOptions = RenderOptions()) -> by
 
     # axis tick labels at integer positions (text only)
     parts.append('<g font-family="sans-serif" font-size="11" fill="#333333">')
-    for x in range(0, max_x + 1):
+    for x, cx in enumerate(col):
         parts.append(
-            f'<text x="{_fmt(sx(x))}" y="{_fmt(o.height - o.margin_bottom + 16)}" '
+            f'<text x="{cx}" y="{frame.tick_y}" '
             f'text-anchor="middle">{x}</text>'
         )
     for y in range(0, int(max_y) + 1):
         parts.append(
-            f'<text x="{_fmt(o.margin_left - 8)}" y="{_fmt(sy(y) + 4)}" '
+            f'<text x="{frame.tick_x}" y="{_fmt(sy(y) + 4)}" '
             f'text-anchor="end">{y}</text>'
         )
-    if o.axis_labels:
-        parts.append(
-            f'<text x="{_fmt(o.margin_left + plot_w / 2)}" '
-            f'y="{_fmt(o.height - 12)}" text-anchor="middle">level</text>'
-        )
-        parts.append(
-            f'<text x="{_fmt(14.0)}" y="{_fmt(o.margin_top + plot_h / 2)}" '
-            f'text-anchor="middle" transform="rotate(-90 14.00 '
-            f'{_fmt(o.margin_top + plot_h / 2)})">log2(descendants + 1)</text>'
-        )
-    parts.append("</g>")
+    parts.append(frame.axis_close)
 
-    parts.append(_sidebar(layout, o, plot_h))
+    # sidebar: the color bar, with a count bar after each non-empty bin
+    histogram = layout.histogram
+    max_count = max(histogram) if any(histogram) else 1
+    parts.append('<g stroke="none">')
+    done = 0
+    for i in compress(range(BIN_COUNT), histogram):
+        w = histogram[i] / max_count * frame.hist_w_max
+        parts.extend(frame.color_rects[done:i + 1])
+        parts.append(f"{frame.hist_prefix[i]}{_fmt(w)}{frame.hist_suffix}")
+        done = i + 1
+    parts.extend(frame.color_rects[done:])
+    parts.append(frame.sidebar_close)
 
+    # The range note's dash is the figure's only non-ASCII character; encoding
+    # the note apart keeps the join and encode of the rest on a 1-byte string.
+    svg = ("\n".join(parts) + "\n").encode("utf-8")
     if layout.thickness_min is not None:
         note = f"{layout.thickness_min:.2f}–{layout.thickness_max:.2f} mm"
-        parts.append(
-            f'<text x="{_fmt(o.width - 10)}" y="{_fmt(20.0)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="13" fill="#000000">'
-            f"{escape(note)}</text>"
-        )
-
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
-
-
-def _sidebar(layout: DlLayout, o: RenderOptions, plot_h: float) -> str:
-    bar_x = o.width - o.margin_right + 40
-    bar_w = 18.0
-    hist_x = bar_x + bar_w + 4
-    hist_w_max = o.margin_right - 40 - bar_w - 24
-    cell_h = plot_h / BIN_COUNT
-    max_count = max(layout.histogram) if any(layout.histogram) else 1
-
-    parts = ['<g stroke="none">']
-    for i in range(BIN_COUNT):
-        # bin 0 at the bottom
-        y = o.margin_top + (BIN_COUNT - 1 - i) * cell_h
-        parts.append(
-            f'<rect x="{_fmt(bar_x)}" y="{_fmt(y)}" width="{_fmt(bar_w)}" '
-            f'height="{_fmt(cell_h)}" fill="{COLOR_RAMP[i]}"/>'
-        )
-        count = layout.histogram[i]
-        if count > 0:
-            w = count / max_count * hist_w_max
-            parts.append(
-                f'<rect x="{_fmt(hist_x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
-                f'height="{_fmt(cell_h)}" fill="#555555"/>'
-            )
-    parts.append('</g>')
-    parts.append('<g font-family="sans-serif" font-size="10" fill="#333333">')
-    for mm in range(0, int(THICKNESS_RANGE_MM) + 1):
-        y = o.margin_top + plot_h * (1 - mm / THICKNESS_RANGE_MM)
-        parts.append(
-            f'<text x="{_fmt(bar_x - 4)}" y="{_fmt(y + 3)}" '
-            f'text-anchor="end">{mm}</text>'
-        )
-    parts.append('</g>')
-    return "\n".join(parts)
+        svg += f"{frame.note_open}{escape(note)}</text>\n".encode("utf-8")
+    return svg + b"</svg>\n"

@@ -9,6 +9,7 @@ node for recall/precision checks.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -209,6 +210,8 @@ def generate_corpus(n_subjects: int, covariate_effect: float, seed: int,
     """
     if n_subjects < 2:
         raise ValueError("need at least 2 subjects")
+    if not math.isfinite(covariate_effect):
+        raise ValueError("covariate effect must be finite")
     rng = random.Random(seed)
     entries = []
     for i in range(n_subjects):

@@ -102,6 +102,22 @@ def test_render_rejects_inputs_with_one_output_name(tmp_path, capsys):
     assert not svg_dir.exists()
 
 
+@pytest.mark.parametrize("size, problem", [
+    (("--width", "100"), "--width 100 leaves no room to plot"),
+    (("--width", "280"), "the minimum is 281"),
+    (("--height", "100"), "the minimum is 101"),
+])
+def test_render_rejects_a_size_inside_the_margins(tmp_path, capsys, size, problem):
+    tree = tmp_path / "s000_B.dltree"
+    tree.write_text("HEADER s000 B\n(r:1.0,(a:0.5),(b:0.4))\n")
+    svg_dir = tmp_path / "svg"
+    assert run("render", str(tree), "--out-dir", str(svg_dir), *size) == EXIT_DATA_ERROR
+    assert problem in capsys.readouterr().err
+    assert not svg_dir.exists()
+    assert run("render", str(tree), "--out-dir", str(svg_dir),
+               "--width", "281", "--height", "101") == EXIT_OK
+
+
 def test_data_error_exit_code(tmp_path):
     bad = tmp_path / "bad.vess"
     bad.write_text("HEADER only\n")
@@ -258,6 +274,29 @@ def test_scan_config_file_and_flag_override(tmp_path):
     # CLI flag overrides the file and the flag reappears
     assert run("scan", str(out), "--config", str(cfg), "--epsilon-mm", "0.3",
                "--report", str(report)) == EXIT_FLAGS_FOUND
+
+
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_scan_rejects_a_non_finite_epsilon_flag(tmp_path, capsys, epsilon):
+    out = tmp_path / "corpus"
+    assert run("synth", "--subjects", "3", "--seed", "1", "--inject", "vein=2",
+               "--out-dir", str(out)) == EXIT_OK
+    report = tmp_path / "r.tsv"
+    assert run("scan", str(out), "--report", str(report)) == EXIT_FLAGS_FOUND
+    report.unlink()
+    assert run("scan", str(out), "--epsilon-mm", epsilon,
+               "--report", str(report)) == EXIT_DATA_ERROR
+    assert "positive and finite" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("effect", ["nan", "inf"])
+def test_synth_rejects_a_non_finite_effect(tmp_path, capsys, effect):
+    out = tmp_path / "corpus"
+    assert run("synth", "--subjects", "2", "--seed", "1", "--effect", effect,
+               "--out-dir", str(out)) == EXIT_DATA_ERROR
+    assert "covariate effect must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_determinism(tmp_path):

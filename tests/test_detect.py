@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -214,3 +215,8 @@ def test_config_validation():
         DetectorConfig(epsilon_mm=0.0)
     with pytest.raises(ValueError):
         DetectorConfig(startpoint_min_chain=-1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DetectorConfig(epsilon_mm=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            DetectorConfig(startpoint_thick_mm=bad)

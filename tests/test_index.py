@@ -21,7 +21,9 @@ from dlview.detect import (
 from dlview.edit import DeleteSubtree, EditScriptError, ScriptLine, apply_script, delete_subtree
 from dlview.ingest import parse_dltree, serialize_dltree
 from dlview.layout import (
+    BIN_COUNT,
     COLOR_RAMP,
+    THICKNESS_RANGE_MM,
     DlNodePlacement,
     LayoutConfig,
     build_layout,
@@ -29,7 +31,7 @@ from dlview.layout import (
     jitter_offset,
     y_coordinate,
 )
-from dlview.render import RenderOptions, _fmt, _sidebar, render_svg
+from dlview.render import RenderOptions, _fmt, render_svg
 
 from conftest import brute_descendants
 
@@ -282,7 +284,7 @@ def reference_render_svg(layout, o=RenderOptions()):
         )
     parts.append("</g>")
 
-    parts.append(_sidebar(layout, o, plot_h))
+    parts.append(reference_sidebar(layout, o, plot_h))
 
     if layout.thickness_min is not None:
         note = f"{layout.thickness_min:.2f}–{layout.thickness_max:.2f} mm"
@@ -294,6 +296,42 @@ def reference_render_svg(layout, o=RenderOptions()):
 
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+def reference_sidebar(layout, o, plot_h):
+    """The sidebar formatted from scratch on every call: color bar, count bars, mm ticks."""
+    bar_x = o.width - o.margin_right + 40
+    bar_w = 18.0
+    hist_x = bar_x + bar_w + 4
+    hist_w_max = o.margin_right - 40 - bar_w - 24
+    cell_h = plot_h / BIN_COUNT
+    max_count = max(layout.histogram) if any(layout.histogram) else 1
+
+    parts = ['<g stroke="none">']
+    for i in range(BIN_COUNT):
+        # bin 0 at the bottom
+        y = o.margin_top + (BIN_COUNT - 1 - i) * cell_h
+        parts.append(
+            f'<rect x="{_fmt(bar_x)}" y="{_fmt(y)}" width="{_fmt(bar_w)}" '
+            f'height="{_fmt(cell_h)}" fill="{COLOR_RAMP[i]}"/>'
+        )
+        count = layout.histogram[i]
+        if count > 0:
+            w = count / max_count * hist_w_max
+            parts.append(
+                f'<rect x="{_fmt(hist_x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
+                f'height="{_fmt(cell_h)}" fill="#555555"/>'
+            )
+    parts.append('</g>')
+    parts.append('<g font-family="sans-serif" font-size="10" fill="#333333">')
+    for mm in range(0, int(THICKNESS_RANGE_MM) + 1):
+        y = o.margin_top + plot_h * (1 - mm / THICKNESS_RANGE_MM)
+        parts.append(
+            f'<text x="{_fmt(bar_x - 4)}" y="{_fmt(y + 3)}" '
+            f'text-anchor="end">{mm}</text>'
+        )
+    parts.append('</g>')
+    return "\n".join(parts)
 
 
 @st.composite
@@ -324,6 +362,31 @@ render_options = st.one_of(st.just(RenderOptions()), st.builds(
 def test_render_matches_per_edge_reference(tree, config, options):
     layout = build_layout(tree, config)
     assert render_svg(layout, options) == reference_render_svg(layout, options)
+
+
+def test_render_interleaved_options_match_reference():
+    """Figures rendered under alternating options each get their own frame."""
+    def tree(ids, thickness, size):
+        return BinaryTree("s", Region.LEFT, ids=ids, thickness=thickness, size=size)
+
+    a = build_layout(tree(("a0", "a1", "a2"), (3.0, 1.2, 0.4), (3, 1, 1)))
+    b = build_layout(tree(tuple(f"b{i}" for i in range(6)),
+                          (4.1, 2.2, 2.2, 0.9, 0.3, 3.3), (6, 5, 4, 2, 1, 1)))
+    c = build_layout(tree(("c0",), (2.5,), (1,)))
+    assert a.histogram != b.histogram
+    x = RenderOptions(width=640, height=480, dot_radius=2.0, margin_left=40.0,
+                      margin_right=180.0, margin_top=30.0, margin_bottom=70.0,
+                      axis_labels=False)
+    y = RenderOptions(width=640, height=480, dot_radius=5.5, margin_left=75.0,
+                      margin_right=250.0, margin_top=60.0, margin_bottom=35.0)
+    z = RenderOptions(width=640, height=480, axis_labels=False)
+    # equal to z, but the header prints the widths as floats
+    zf = RenderOptions(width=640.0, height=480.0, axis_labels=False)
+    d = RenderOptions()
+    sequence = [(a, x), (b, y), (a, x), (c, z), (b, x), (a, y), (c, d), (b, z), (a, x),
+                (a, zf), (b, z)]
+    for layout, options in sequence:
+        assert render_svg(layout, options) == reference_render_svg(layout, options)
 
 
 def _remove(node, target_id):

@@ -92,11 +92,16 @@ def test_golden_svgs():
     fixtures = Path(__file__).parent / "fixtures"
     paths = sorted(fixtures.glob("*.dltree"))
     assert len(paths) == 5
+    variants = {
+        ".svg": RenderOptions(),
+        ".640x480.svg": RenderOptions(width=640, height=480, axis_labels=False),
+    }
     for path in paths:
-        tree = parse_dltree(path.read_bytes())
-        svg = render_svg(build_layout(tree))
-        golden = (fixtures / "golden" / (path.stem + ".svg")).read_bytes()
-        assert svg == golden, f"{path.stem} diverged from its golden file"
+        layout = build_layout(parse_dltree(path.read_bytes()))
+        for suffix, options in variants.items():
+            golden = (fixtures / "golden" / (path.stem + suffix)).read_bytes()
+            assert render_svg(layout, options) == golden, (
+                f"{path.stem}{suffix} diverged from its golden file")
 
 
 def test_custom_dimensions_respected():

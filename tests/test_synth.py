@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -113,6 +114,9 @@ def test_generate_corpus_shape():
         assert 20.0 <= e.covariate <= 80.0
     with pytest.raises(ValueError):
         generate_corpus(n_subjects=1, covariate_effect=0.0, seed=1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="covariate effect must be finite"):
+            generate_corpus(n_subjects=2, covariate_effect=bad, seed=1)
 
 
 def test_inject_corpus_ground_truth_matches_scan():
