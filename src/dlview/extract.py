@@ -10,6 +10,7 @@ with no thickness of its own.
 
 from __future__ import annotations
 
+import math
 import statistics
 
 from .core import BinaryTree, RawVesselGraph, _id_sort_key, subtree_sizes
@@ -45,6 +46,9 @@ def extract_binary_tree(graph: RawVesselGraph) -> BinaryTree:
                     break
                 cur = kids[0]
             t = 2.0 * statistics.median(radii)
+            if t == math.inf:
+                raise ValueError(f"trunk {head!r} is too thick: twice its median "
+                                 "radius is out of float range")
         i = len(ids)
         ids.append(f"{head}~{step}" if step else head)
         thickness.append(t)

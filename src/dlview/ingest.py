@@ -15,6 +15,7 @@ may sit between tokens, and errors give the file's own line and column):
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Optional, Union
 
@@ -122,7 +123,10 @@ def parse_vess(text: Union[str, bytes]) -> RawVesselGraph:
             r = _float(toks[5], lineno, "radius")
             if r <= 0:
                 raise BadRadiusError(f"point {pid!r} has radius {r} <= 0", lineno)
-            points[pid] = VesselPoint(x, y, z, r)
+            try:
+                points[pid] = VesselPoint(x, y, z, r)
+            except ValueError as e:  # a number past float range read as inf
+                raise SyntaxParseError(str(e), lineno)
         elif kind == "SEGMENT":
             if len(toks) < 2:
                 raise SyntaxParseError("SEGMENT needs <sid> <pid>...", lineno)
@@ -293,9 +297,13 @@ def _parse_body(body: str, at):
                 pos = found.end()
         node_id, t, closes, comma = m.group("id", "thickness", "closes", "comma")
         t = None if t == "_" else float(t)
-        if t is not None and t < 0:
-            raise NegativeThicknessError(
-                f"node {node_id!r} has negative thickness", *at(m.start("thickness")))
+        if t is not None and not 0.0 <= t < math.inf:
+            if t < 0:
+                raise NegativeThicknessError(
+                    f"node {node_id!r} has negative thickness", *at(m.start("thickness")))
+            raise SyntaxParseError(
+                f"node {node_id!r} has a thickness out of float range",
+                *at(m.start("thickness")))
         if stack:
             size[stack[-1]] -= 1
         stack.append(len(ids))

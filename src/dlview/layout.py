@@ -6,9 +6,13 @@ color bins over [0, 4] mm; anything thicker lands in the top bin.  Nodes
 below `low_y_threshold` are displaced by `jitter_offset`, the one spec of
 the jitter.
 
-`build_layout` visits each node once and builds its one placement there:
+A `DlLayout` is stored the way the tree is: preorder tuples with one slot
+per node (`ids`, `parent`, `x`, `y`, `y_jittered`, `color_bin`), so node
+i's segment is (parent[i], i).  `build_layout` writes each tuple in one pass;
 the jitter reuses a sha256 state hashed once per tree over the shared key
-prefix, which gives `jitter_offset`'s digest.
+prefix, which gives `jitter_offset`'s digest.  The per-node
+`DlNodePlacement`s and the `(parent_id, child_id)` edges are views built on
+first use.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from __future__ import annotations
 import colorsys
 import hashlib
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import InitVar, dataclass
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .core import BinaryTree
 
@@ -70,13 +75,62 @@ class DlNodePlacement:
 
 @dataclass(frozen=True)
 class DlLayout:
+    """A tree's D-L layout as one slot per node in the tree's preorder.
+
+    Node i sits at (x[i], y_jittered[i]) with color bin color_bin[i]; its
+    segment runs from node parent[i] (-1 for the root).  A hand-made layout
+    comes in as `DlNodePlacement`s and `(parent_id, child_id)` edges, one
+    edge per non-first placement in placement order, and is converted to
+    the arrays here.
+    """
+
     subject_id: str
     region_code: str
-    placements: tuple[DlNodePlacement, ...]
-    edges: tuple[tuple[str, str], ...]
-    histogram: tuple[int, ...]
-    thickness_min: Optional[float]
-    thickness_max: Optional[float]
+    given_placements: InitVar[Optional[Sequence[DlNodePlacement]]] = None
+    given_edges: InitVar[Optional[Sequence[tuple[str, str]]]] = None
+    histogram: tuple[int, ...] = ()
+    thickness_min: Optional[float] = None
+    thickness_max: Optional[float] = None
+    ids: tuple[str, ...] = ()
+    parent: tuple[int, ...] = ()
+    x: tuple[int, ...] = ()
+    y: tuple[float, ...] = ()
+    y_jittered: tuple[float, ...] = ()
+    color_bin: tuple[Optional[int], ...] = ()
+
+    def __post_init__(self, given_placements, given_edges):
+        if given_placements is None:
+            return
+        ids = [p.node_id for p in given_placements]
+        position = {node_id: i for i, node_id in enumerate(ids)}
+        edges = tuple(given_edges or ())
+        if len(edges) != len(ids[1:]):
+            raise ValueError(f"one edge per placement after the first: {len(ids)} "
+                             f"placements, {len(edges)} edges")
+        parent = [-1] * len(ids)
+        for i, (parent_id, child_id) in enumerate(edges, 1):
+            if child_id != ids[i] or parent_id not in position:
+                raise ValueError(f"edge {i} ({parent_id}, {child_id}) must end at "
+                                 f"placement {i} ({ids[i]}) and start at a placement")
+            parent[i] = position[parent_id]
+        for name, value in (("ids", ids), ("parent", parent),
+                            ("x", [p.x for p in given_placements]),
+                            ("y", [p.y for p in given_placements]),
+                            ("y_jittered", [p.y_jittered for p in given_placements]),
+                            ("color_bin", [p.color_bin for p in given_placements])):
+            object.__setattr__(self, name, tuple(value))
+
+    @cached_property
+    def placements(self) -> tuple[DlNodePlacement, ...]:
+        """One DlNodePlacement per node, built on first use."""
+        return tuple(map(DlNodePlacement, self.ids, self.x, self.y,
+                         self.y_jittered, self.color_bin))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """(parent_id, child_id) per node after the first, built on first use."""
+        ids = self.ids
+        return tuple((ids[self.parent[i]], ids[i]) for i in range(1, len(ids)))
 
 
 def jitter_offset(subject_id: str, region_code: str, node_id: str,
@@ -89,35 +143,37 @@ def jitter_offset(subject_id: str, region_code: str, node_id: str,
 
 
 def build_layout(tree: BinaryTree, config: LayoutConfig = LayoutConfig()) -> DlLayout:
-    ids, parent, level, size = tree.ids, tree.parent, tree.level, tree.size
+    ids, size = tree.ids, tree.size
     amplitude, low_y = config.jitter_amplitude, config.low_y_threshold
     # jitter_offset's key up to the node id; utf-8 of a concatenation is the
     # concatenation of the utf-8 parts
     prefix = hashlib.sha256(
         f"{config.jitter_salt}|{tree.subject_id}|{tree.region.value}|".encode("utf-8"))
-    placements = []
-    histogram = [0] * BIN_COUNT
-    for i, t in enumerate(tree.thickness):
-        y = math.log2(size[i])  # y_coordinate(size[i] - 1)
-        y_jittered = y
-        if y < low_y:
+    y = tuple(map(math.log2, size))  # y_coordinate(size[i] - 1)
+    y_jittered = list(y)
+    for i, v in enumerate(y):
+        if v < low_y:
             h = prefix.copy()
             h.update(ids[i].encode("utf-8"))
             u = int.from_bytes(h.digest()[:8], "big") / 2**64
-            y_jittered = y + (2.0 * u - 1.0) * amplitude
-        if t is None:
-            cb = None
-        else:
-            cb = color_bin(t)
-            histogram[cb] += 1
-        placements.append(DlNodePlacement(ids[i], level[i], y, y_jittered, cb))
+            y_jittered[i] = v + (2.0 * u - 1.0) * amplitude
     present = [t for t in tree.thickness if t is not None]
+    bins = list(map(color_bin, present))
+    histogram = [0] * BIN_COUNT
+    for cb in bins:
+        histogram[cb] += 1
+    if len(present) < len(ids):  # the phantom root comes first
+        bins.insert(0, None)
     return DlLayout(
         subject_id=tree.subject_id,
         region_code=tree.region.value,
-        placements=tuple(placements),
-        edges=tuple((ids[parent[i]], ids[i]) for i in range(1, len(ids))),
         histogram=tuple(histogram),
         thickness_min=min(present, default=None),
         thickness_max=max(present, default=None),
+        ids=ids,
+        parent=tuple(tree.parent),
+        x=tuple(tree.level),
+        y=y,
+        y_jittered=tuple(y_jittered),
+        color_bin=tuple(bins),
     )

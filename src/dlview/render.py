@@ -5,8 +5,10 @@ sidebar: the 100-cell color bar next to per-bin count bars.  Top right:
 the thickness range annotation.  Only svg/g/circle/line/rect/text elements
 are emitted and identical layouts render to identical bytes.
 
-Each coordinate string is formatted once: a column's x once per level and
-a node's cy once per node; every segment, dot and level tick reuses them.
+The layout's preorder tuples are read by position: node i's segment runs
+from node parent[i] to node i.  Each coordinate string is formatted once: a
+column's x once per level and a node's cy once per node; every segment, dot
+and level tick reuses them.
 
 Every string that depends only on the RenderOptions (the header, the color
 bar, each bin's count-bar x and y, the mm ticks, the axis labels, the tick
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 from typing import NamedTuple
 from xml.sax.saxutils import escape
 
@@ -134,9 +136,9 @@ def render_svg(layout: DlLayout, options: RenderOptions = RenderOptions()) -> by
     plot_w = o.width - o.margin_left - o.margin_right
     plot_h = o.height - o.margin_top - o.margin_bottom
 
-    max_x = max((p.x for p in layout.placements), default=0)
-    max_y = max((p.y_jittered for p in layout.placements), default=0.0)
-    max_y = max(max_y, max((p.y for p in layout.placements), default=0.0), 1e-9)
+    xs, ys = layout.x, layout.y_jittered
+    max_x = max(xs, default=0)
+    max_y = max(max(ys, default=0.0), max(layout.y, default=0.0), 1e-9)
     span_x = max(max_x, 1)
 
     def sx(x: float) -> float:
@@ -147,20 +149,21 @@ def render_svg(layout: DlLayout, options: RenderOptions = RenderOptions()) -> by
 
     parts = [frame.head]
 
-    placements = layout.placements
     col = [_fmt(sx(x)) for x in range(max_x + 1)]
-    cxs = [col[p.x] for p in placements]
-    cys = [_fmt(sy(p.y_jittered)) for p in placements]
-    at = {p.node_id: i for i, p in enumerate(placements)}
-    for parent_id, child_id in layout.edges:
-        a, b = at[parent_id], at[child_id]
-        parts.append(f'<line x1="{cxs[a]}" y1="{cys[a]}" x2="{cxs[b]}" y2="{cys[b]}"/>')
+    cxs = [col[x] for x in xs]
+    cys = [_fmt(sy(y)) for y in ys]
+    # node i's segment starts at its parent; the root has none
+    parts.extend(
+        f'<line x1="{cxs[a]}" y1="{cys[a]}" x2="{cx}" y2="{cy}"/>'
+        for a, cx, cy in zip(islice(layout.parent, 1, None),
+                             islice(cxs, 1, None), islice(cys, 1, None))
+    )
     parts.append("</g>")
 
     r = frame.r
     parts.append("<g>")
-    for p, cx, cy in zip(placements, cxs, cys):
-        if p.color_bin is None:
+    for cb, cx, cy in zip(layout.color_bin, cxs, cys):
+        if cb is None:
             # phantom root: hollow gray dot, no thickness claim
             parts.append(
                 f'<circle cx="{cx}" cy="{cy}" r="{r}" '
@@ -168,7 +171,7 @@ def render_svg(layout: DlLayout, options: RenderOptions = RenderOptions()) -> by
             )
         else:
             parts.append(
-                f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="{COLOR_RAMP[p.color_bin]}"/>'
+                f'<circle cx="{cx}" cy="{cy}" r="{r}" fill="{COLOR_RAMP[cb]}"/>'
             )
     parts.append("</g>")
 

@@ -210,8 +210,9 @@ def generate_corpus(n_subjects: int, covariate_effect: float, seed: int,
     """
     if n_subjects < 2:
         raise ValueError("need at least 2 subjects")
-    if not math.isfinite(covariate_effect):
-        raise ValueError("covariate effect must be finite")
+    # a negative effect lifts p0 past 1 for the old, and their trees never stop growing
+    if not 0.0 <= covariate_effect < math.inf:
+        raise ValueError("covariate effect must be finite and not negative")
     rng = random.Random(seed)
     entries = []
     for i in range(n_subjects):

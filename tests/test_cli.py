@@ -62,6 +62,18 @@ def test_extract_error_names_the_input(tmp_path, capsys):
     assert f"error: {vess}: 3 roots in g/B" in capsys.readouterr().err
 
 
+def test_extract_rejects_a_trunk_too_thick_for_a_float(tmp_path, capsys):
+    # twice the median radius of 1.7e308 overflows to inf, which .dltree cannot hold
+    vess = tmp_path / "thick.vess"
+    radius = "17" + "0" * 307
+    vess.write_text(f"HEADER g B\nPOINT p1 0 0 0 {radius}\nPOINT p2 1 0 0 {radius}\n"
+                    "SEGMENT 1 p1 p2\nROOT 1\n")
+    out = tmp_path / "out"
+    assert run("extract", str(vess), "--out-dir", str(out)) == EXIT_DATA_ERROR
+    assert f"error: {vess}: trunk '1' is too thick" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_render_is_deterministic_across_runs_and_jobs(tmp_path):
     out = tmp_path / "corpus"
     assert run("synth", "--subjects", "3", "--seed", "5",
@@ -296,6 +308,16 @@ def test_synth_rejects_a_non_finite_effect(tmp_path, capsys, effect):
     assert run("synth", "--subjects", "2", "--seed", "1", "--effect", effect,
                "--out-dir", str(out)) == EXIT_DATA_ERROR
     assert "covariate effect must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("effect", ["-0.1", "-0.0001"])
+def test_synth_rejects_a_negative_effect(tmp_path, capsys, effect):
+    # p0 = 0.9 - effect * age passes 1, and an old subject's trees never stop growing
+    out = tmp_path / "corpus"
+    assert run("synth", "--subjects", "2", "--seed", "1", "--effect", effect,
+               "--out-dir", str(out)) == EXIT_DATA_ERROR
+    assert "covariate effect must be finite and not negative" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -24,6 +24,7 @@ from dlview.layout import (
     BIN_COUNT,
     COLOR_RAMP,
     THICKNESS_RANGE_MM,
+    DlLayout,
     DlNodePlacement,
     LayoutConfig,
     build_layout,
@@ -212,6 +213,26 @@ def test_layout_matches_brute_force(tree, config):
     assert list(layout.edges) == edges
     thick = [n.thickness for n in tree.nodes() if n.thickness is not None]
     assert (layout.thickness_min, layout.thickness_max) == (min(thick), max(thick))
+
+
+# a phantom root over two unary chains
+PHANTOM_OVER_CHAINS = BinaryTree("s", Region.BACK, BinaryNode(
+    "ph", None, _chain([2.0, 1.5, 1.0]), _chain([0.5, 0.4], prefix="d")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees, layout_configs)
+@example(PHANTOM_OVER_CHAINS, LayoutConfig())
+def test_hand_made_layout_matches_build_layout(tree, config):
+    built = build_layout(tree, config)
+    hand = DlLayout(built.subject_id, built.region_code, built.placements, built.edges,
+                    built.histogram, built.thickness_min, built.thickness_max)
+    for name in ("ids", "parent", "x", "y", "y_jittered", "color_bin"):
+        assert getattr(hand, name) == getattr(built, name), name
+    assert hand == built
+    for o in (RenderOptions(), RenderOptions(width=640.0, height=480, margin_left=33.5,
+                                             dot_radius=2.25, axis_labels=False)):
+        assert render_svg(hand, o) == render_svg(built, o)
 
 
 def reference_render_svg(layout, o=RenderOptions()):

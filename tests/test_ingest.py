@@ -221,3 +221,22 @@ def test_dltree_errors_name_the_files_own_line_and_column():
     with pytest.raises(SyntaxParseError, match="expected '\\)'") as exc:
         parse_dltree("HEADER s B\n(r:1,\n (a:1)\n\n# end\n")
     assert (exc.value.line, exc.value.col) == (3, 7)
+
+
+HUGE = "9" * 400  # float() reads it as inf
+
+
+def test_dltree_thickness_past_float_range_is_located():
+    with pytest.raises(SyntaxParseError, match="node 'b' has a thickness out of float range") as exc:
+        parse_dltree(f"HEADER s B\n(a:1.0,(b:{HUGE}))\n")
+    assert (exc.value.line, exc.value.col) == (2, 11)
+    with pytest.raises(SyntaxParseError) as exc:
+        parse_dltree(f"HEADER s B\n# note\n(a:1.0,\n  (b:\t{HUGE}))\n")
+    assert (exc.value.line, exc.value.col) == (4, 7)
+
+
+def test_vess_numbers_past_float_range_name_their_line():
+    for point in (f"POINT p1 0 {HUGE} 0 1", f"POINT p1 0 0 -{HUGE} 1", f"POINT p1 0 0 0 {HUGE}"):
+        with pytest.raises(ParseError) as exc:
+            parse_vess(f"HEADER s B\n# note\n{point}\n")
+        assert exc.value.line == 3 and "non-finite coordinate/radius" in str(exc.value)

@@ -7,6 +7,8 @@ from dlview.core import BinaryNode, BinaryTree, Region
 from dlview.layout import (
     BIN_COUNT,
     COLOR_RAMP,
+    DlLayout,
+    DlNodePlacement,
     LayoutConfig,
     build_layout,
     color_bin,
@@ -140,3 +142,13 @@ def test_layout_config_salt_changes_jitter():
     assert any(pa.y_jittered != pb.y_jittered
                for pa, pb in zip(a.placements, b.placements)
                if pa.y < 3.0)
+
+
+def test_hand_made_layout_edges_must_follow_the_placements():
+    placements = [DlNodePlacement("r", 0, 1.0, 1.0, 10), DlNodePlacement("a", 1, 0.0, 0.0, 5),
+                  DlNodePlacement("b", 1, 0.0, 0.0, 5)]
+    ok = DlLayout("s", "B", placements, [("r", "a"), ("r", "b")], (0,) * BIN_COUNT, None, None)
+    assert ok.parent == (-1, 0, 0) and ok.edges == (("r", "a"), ("r", "b"))
+    for edges in ([("r", "b"), ("r", "a")], [("r", "a")], [("r", "a"), ("q", "b")]):
+        with pytest.raises(ValueError):
+            DlLayout("s", "B", placements, edges, (0,) * BIN_COUNT, None, None)

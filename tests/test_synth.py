@@ -114,8 +114,9 @@ def test_generate_corpus_shape():
         assert 20.0 <= e.covariate <= 80.0
     with pytest.raises(ValueError):
         generate_corpus(n_subjects=1, covariate_effect=0.0, seed=1)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="covariate effect must be finite"):
+    # a negative effect would grow old subjects' trees without end
+    for bad in (math.nan, math.inf, -math.inf, -0.1, -1e-9):
+        with pytest.raises(ValueError, match="covariate effect must be finite and not negative"):
             generate_corpus(n_subjects=2, covariate_effect=bad, seed=1)
 
 
