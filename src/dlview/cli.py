@@ -247,12 +247,19 @@ def _corpus_entries(directory: Path, ages: dict[str, float]) -> list[CorpusEntry
     return entries
 
 
+def _region_age_analysis(directory: str, entries: list[CorpusEntry]):
+    try:
+        return stats.region_age_analysis(entries)
+    except ValueError as e:  # too few trees in a region, or a constant covariate
+        raise DataError(f"{directory}: {e}")
+
+
 def cmd_stats(args) -> int:
     ages = _read_covariates(Path(args.covariates))
     entries = _corpus_entries(Path(args.directory), ages)
-    primary = stats.region_age_analysis(entries)
+    primary = _region_age_analysis(args.directory, entries)
     compared = _corpus_entries(Path(args.compare), ages) if args.compare else []
-    baseline = stats.region_age_analysis(compared) if args.compare else None
+    baseline = _region_age_analysis(args.compare, compared) if args.compare else None
     summary = None
     if args.flags:
         try:

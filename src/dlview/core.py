@@ -8,6 +8,8 @@ numbered in preorder, left before right, so the subtree under node i is the
 slice [i, i + size[i]), its left child sits at i + 1 and its right child at
 i + 1 + size[i + 1].  A lone child is a left child, as the .dltree format
 cannot tell the sides apart.  Parents and levels are derived on first use.
+`parent` is one pass over size: each node i with size[i] > 1 is the parent
+of i + 1, and of i + 1 + size[i + 1] when that still lies in its slice.
 An edit is a slice (`subtree`) or a `splice`.  BinaryNode is only a builder
 (`BinaryTree(subject, region, root_node)` flattens a hand-made graph) and a
 view (`BinaryTree.root`); no stage uses it.
@@ -220,10 +222,14 @@ class BinaryTree:
     @cached_property
     def parent(self) -> list[int]:
         """Preorder position of each node's parent; -1 for the root."""
-        parent = [-1] * len(self.size)
-        for i in range(len(parent)):
-            for c in self.children(i):
-                parent[c] = i
+        size = self.size
+        parent = [-1] * len(size)
+        for i, s in enumerate(size):
+            if s > 1:  # the left child, then the right one if the slice holds it
+                parent[i + 1] = i
+                right = i + 1 + size[i + 1]
+                if right < i + s:
+                    parent[right] = i
         return parent
 
     @cached_property

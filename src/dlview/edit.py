@@ -73,7 +73,9 @@ def delete_subtree(tree: BinaryTree, node_id: str) -> BinaryTree:
     if tree.thickness[p] is None:
         return tree.subtree(survivor)  # phantom root no longer joins two vessels
     end = survivor + tree.size[survivor]
-    merged_t = (tree.thickness[p] + tree.thickness[survivor]) / 2.0
+    # halving first gives the float (a + b) / 2 gives for any normal result,
+    # and cannot overflow to inf when both are near the float maximum
+    merged_t = tree.thickness[p] / 2.0 + tree.thickness[survivor] / 2.0
     return tree.splice(p, (tree.ids[p],) + tree.ids[survivor + 1:end],
                        (merged_t,) + tree.thickness[survivor + 1:end],
                        tree.size[survivor:end])

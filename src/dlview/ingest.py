@@ -11,12 +11,18 @@
 may sit between tokens, and errors give the file's own line and column):
     HEADER <subject_id> <B|L|R|F>
     tree := "(" id ":" (number | "_") { "," tree } ")"  with 0-2 children
+
+A .dltree body is split into nodes once, by the one node pattern _NODE, and
+the pieces are checked and converted as whole lists.  The piece walker, which
+matches _NODE node by node, runs only when one of the split's checks fails:
+it accepts exactly the bodies the split accepts, and raises the located error.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from itertools import repeat
 from typing import Optional, Union
 
 from .core import (
@@ -277,12 +283,57 @@ _PIECES = (
     ("thickness", re.compile("_|" + _NUM_RE.pattern), "expected thickness number or '_'"),
 )
 # One node as serialize_dltree writes it: its pieces, then the ')'s that close
-# it and its ancestors, and an optional ','.
-_NODE = re.compile("".join(f"{_WS.pattern}(?P<{name}>{p.pattern})" for name, p, _ in _PIECES)
-                   + r"(?P<closes>[ \t)]*)(?P<comma>,?)")
+# it and its ancestors, and an optional ','.  Only the id, thickness, closes
+# and comma groups capture, so _NODE.split(body) gives
+# [gap, id, thickness, closes, comma] * nodes + [tail].
+_NODE = re.compile("".join(
+    _WS.pattern + (f"(?P<{name}>{p.pattern})" if name in ("id", "thickness")
+                   else f"(?:{p.pattern})")
+    for name, p, _ in _PIECES) + r"(?P<closes>[ \t)]*)(?P<comma>,?)")
 
 
 def _parse_body(body: str, at):
+    """Preorder ids, thicknesses and sizes of the tree in body; at() locates errors.
+
+    A body whose split pieces are not one well-formed tree goes to _walk_body.
+    """
+    parts = _NODE.split(body)
+    ids, thick, closes = parts[1::5], parts[2::5], parts[3::5]
+    # no gap before a node nor after the tree, a ',' after every node but the
+    # last, one ')' per node, and the body ends at the last of them
+    if (any(parts[0::5]) or "".join(parts[4::5]) != "," * (len(ids) - 1)
+            or body.count(")") != len(ids) or not body.endswith(")")):
+        return _walk_body(body, at)
+    phantom = thick[0] == "_"
+    try:
+        thickness = list(map(float, thick[phantom:]))  # a later "_" raises
+    except ValueError:
+        return _walk_body(body, at)
+    if thickness and not (min(thickness) >= 0.0 and max(thickness) < math.inf):
+        return _walk_body(body, at)
+    if phantom:
+        thickness.insert(0, None)
+    # With one ')' per node, closing more nodes than are open empties the
+    # stack before the last node, which the loop rejects; otherwise the stack
+    # ends empty.
+    size = [0] * len(ids)  # minus the child count while a node is open
+    stack: list[int] = []
+    for j, n in enumerate(map(str.count, closes, repeat(")"))):
+        if stack:
+            size[stack[-1]] -= 1
+        elif j:  # the tree closed before this node
+            return _walk_body(body, at)
+        stack.append(j)
+        if n:
+            for i in stack[-n:]:
+                if size[i] < -2:
+                    return _walk_body(body, at)
+                size[i] = j + 1 - i
+            del stack[-n:]
+    return ids, thickness, size
+
+
+def _walk_body(body: str, at):
     """Preorder ids, thicknesses and sizes of the tree in body; at() locates errors."""
     ids, thickness, size = [], [], []
     stack: list[int] = []  # unclosed nodes; size holds minus their child count

@@ -182,7 +182,10 @@ def region_age_analysis(corpus: list[CorpusEntry]) -> dict[Region, RegressionRes
             for e in corpus
             if e.tree.region is region
         ]
-        results[region] = slope_p_value(pairs)
+        try:
+            results[region] = slope_p_value(pairs)
+        except ValueError as e:
+            raise ValueError(f"region {region.label}: {e}") from None
     return results
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from dlview.cli import (
 )
 from dlview.core import Region
 from dlview.detect import FlagKind
-from dlview.ingest import serialize_vess
+from dlview.ingest import parse_dltree, serialize_vess
 
 from conftest import random_vess_graph
 
@@ -414,6 +415,28 @@ def test_huge_age_exits_with_the_covariates_file(tmp_path, capsys, small_corpus)
     assert f"{ages}:{len(rows)}: bad covariate line" in capsys.readouterr().err
 
 
+def test_stats_error_names_the_corpus_and_region(tmp_path, capsys, small_corpus):
+    two = tmp_path / "two"
+    assert run("synth", "--subjects", "2", "--seed", "9", "--out-dir", str(two)) == EXIT_OK
+    constant = tmp_path / "constant.tsv"
+    constant.write_text("subject\tage\ns000\t40.0\ns001\t40.0\ns002\t40.0\n")
+    out, summary = tmp_path / "t.tsv", tmp_path / "s.tsv"
+    flags = tmp_path / "flags.tsv"
+    flags.write_text("subject\tregion\tkind\tnode\tseverity\n")
+    for corpus, ages, compare, problem in (
+            (two, two / "ages.tsv", None,
+             f"error: {two}: region Back: need at least 3 points, got 2"),
+            (small_corpus, constant, None,
+             f"error: {small_corpus}: region Back: covariate is constant; slope undefined"),
+            (small_corpus, small_corpus / "ages.tsv", two,
+             f"error: {two}: region Back: need at least 3 points, got 2")):
+        argv = ["stats", str(corpus), "--covariates", str(ages), "--out", str(out),
+                "--flags", str(flags), "--summary-out", str(summary)]
+        assert run(*argv, *(["--compare", str(compare)] if compare else [])) == EXIT_DATA_ERROR
+        assert capsys.readouterr().err == problem + "\n"
+        assert not out.exists() and not summary.exists()
+
+
 def test_bad_script_region_names_script_and_line(tmp_path, capsys, small_corpus):
     script = tmp_path / "fix.edits"
     script.write_text("# repairs\ns000 Q DELETE_LEAF n3\n")
@@ -422,12 +445,30 @@ def test_bad_script_region_names_script_and_line(tmp_path, capsys, small_corpus)
     assert f"{script}: line 2: unknown region code 'Q'" in capsys.readouterr().err
 
 
+def test_apply_edits_merge_of_huge_thicknesses_reads_back(tmp_path):
+    # the mean of two thicknesses near the float maximum once overflowed to inf,
+    # and apply-edits wrote "(r:inf)", which no command could read
+    huge = "9" * 308
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "s_B.dltree").write_text(f"HEADER s B\n(r:{huge},(a:{huge}),(b:1.0))\n")
+    script = tmp_path / "fix.edits"
+    script.write_text("s B DELETE_LEAF b\n")
+    out = tmp_path / "fixed"
+    assert run("apply-edits", str(corpus), "--script", str(script),
+               "--out-dir", str(out)) == EXIT_OK
+    tree = parse_dltree((out / "s_B.dltree").read_bytes())
+    assert tree.ids == ("r",) and tree.thickness[0] == float(huge)
+
+
 def _mutate(rng: random.Random, data: bytes) -> bytes:
-    """One to three random edits: drop, insert or repeat bytes, or cut the tail."""
+    """One to three random edits: drop, insert or repeat bytes, cut the tail,
+    or insert a run of 300-400 digits, which reads as a number near or past
+    float range."""
     alphabet = b"()_,:.-e#*=\t\n 0123456789nsBLRFQ\xff"
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(data) + 1)
-        op = rng.randrange(4)
+        op = rng.randrange(5)
         if op == 0:
             data = data[:i] + data[i + rng.randint(1, 4):]
         elif op == 1:
@@ -435,8 +476,10 @@ def _mutate(rng: random.Random, data: bytes) -> bytes:
         elif op == 2:
             j = rng.randint(i, min(i + 40, len(data)))
             data = data[:i] + data[i:j] * 2 + data[j:]
-        else:
+        elif op == 3:
             data = data[:i]
+        else:
+            data = data[:i] + b"9" * rng.randint(300, 400) + data[i:]
     return data
 
 
@@ -469,8 +512,12 @@ def test_cli_survives_mutated_inputs(tmp_path):
         target = rng.choice([rng.choice(trees), *others])
         original = target.read_bytes()
         target.write_bytes(_mutate(rng, original))
+        shutil.rmtree(out, ignore_errors=True)
         try:
             for argv in commands():
                 assert run(*argv) in (EXIT_OK, EXIT_DATA_ERROR, EXIT_FLAGS_FOUND), argv
         finally:
             target.write_bytes(original)
+        # every tree that extract or apply-edits wrote reads back
+        for written in [*out.glob("fixed/*.dltree"), *out.glob("trees/*.dltree")]:
+            parse_dltree(written.read_bytes())

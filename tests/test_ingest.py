@@ -2,10 +2,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dlview.core import Region
+from dlview.core import BinaryTree, Region
 from dlview.ingest import (
     CycleError,
     DanglingReferenceError,
@@ -15,6 +15,8 @@ from dlview.ingest import (
     SegmentTooShortError,
     SyntaxParseError,
     TooManyChildrenError,
+    _parse_body,
+    _walk_body,
     parse_dltree,
     parse_vess,
     serialize_dltree,
@@ -240,3 +242,64 @@ def test_vess_numbers_past_float_range_name_their_line():
         with pytest.raises(ParseError) as exc:
             parse_vess(f"HEADER s B\n# note\n{point}\n")
         assert exc.value.line == 3 and "non-finite coordinate/radius" in str(exc.value)
+
+
+@st.composite
+def tree_bodies(draw):
+    """The .dltree body of a random tree: bushy, a unary chain or a comb, with
+    ids that may use every id character and, sometimes, a phantom root."""
+    n = draw(st.integers(1, 24))
+    shape = draw(st.sampled_from(("bushy", "chain", "comb")))
+    if shape == "bushy":
+        size = random_binary_tree(random.Random(draw(st.integers(0, 10**6))), n).size
+    elif shape == "chain":
+        size = tuple(range(n, 0, -1))
+    else:  # each node holds a leaf on the left and the rest of the comb on the right
+        size = tuple(1 if i % 2 else n - i for i in range(n))
+    mark = draw(st.text(".+~-aZ9", max_size=3))
+    ids = [f"{i}{mark}" for i in range(len(size))]
+    thickness = draw(st.lists(st.sampled_from((0.0, 5e-5, 1.25, 1e300)) | st.floats(0, 10),
+                              min_size=len(size), max_size=len(size)))
+    if size[0] > 1 and size[1] < size[0] - 1 and draw(st.booleans()):
+        thickness[0] = None
+    tree = BinaryTree("s", Region.BACK, ids=ids, thickness=thickness, size=size)
+    return serialize_dltree(tree).decode().split("\n")[1]
+
+
+# single characters, a whole node (a third child where it lands after a
+# second), and digit runs past float range
+_EDIT_TEXT = st.sampled_from([*" \t(),:_-.0123456789", ",(q:1)", "9" * 310, "9" * 400])
+
+
+@st.composite
+def edited_bodies(draw):
+    """A tree body after zero to three random inserts, deletions and replacements."""
+    body = draw(tree_bodies())
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(body)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        cut = draw(st.integers(1, 4)) if op == "delete" else int(op == "replace")
+        body = body[:i] + ("" if op == "delete" else draw(_EDIT_TEXT)) + body[i + cut:]
+    return body
+
+
+def _outcome(parse, body):
+    try:
+        return parse(body, lambda pos: (1, pos + 1))
+    except ParseError as e:
+        return type(e), str(e), e.line, e.col
+
+
+@settings(max_examples=400, deadline=None)
+@given(edited_bodies())
+@example("(1:3.8000)\t")  # a tree, then trailing input after its last ')'
+@example("(r:_,(a:1.0),(b:2.0))")
+@example("(r:1.0,(a:_))")
+@example("(r:1.0,(a:-0.5))")
+@example("(a:1),(b:1)")  # a second tree
+@example("(r:1,(a:1)))")  # one ')' too many
+@example("(r:1,(a:1))),(b:1,(c:1)")  # one ')' too many, one too few
+@example("(r:1.0,(a:1.0),(b:1.0),(c:1.0))")
+def test_split_parse_matches_the_node_walker(body):
+    """The one-split parse returns the walker's lists, or the walker's own error."""
+    assert _outcome(_parse_body, body) == _outcome(_walk_body, body)
