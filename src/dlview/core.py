@@ -21,7 +21,7 @@ import enum
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 
 class Region(enum.Enum):
@@ -46,29 +46,49 @@ class UnknownNodeError(KeyError):
     """A node reference does not exist in the tree it was used against."""
 
 
-@dataclass(frozen=True)
-class VesselPoint:
+class _Point(NamedTuple):
     x: float
     y: float
     z: float
     radius: float
 
-    def __post_init__(self):
-        for v in (self.x, self.y, self.z, self.radius):
+
+class VesselPoint(_Point):
+    """A centreline point: an immutable tuple (x, y, z, radius).
+
+    Calling the class checks the values.  `tuple.__new__(VesselPoint, row)`
+    builds a point from values already checked; the .vess reader builds
+    whole columns of points that way.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, z: float, radius: float):
+        self = super().__new__(cls, x, y, z, radius)
+        for v in self:
             if not math.isfinite(v):
                 raise ValueError(f"non-finite coordinate/radius in {self!r}")
-        if self.radius <= 0:
-            raise ValueError(f"radius must be > 0, got {self.radius}")
+        if radius <= 0:
+            raise ValueError(f"radius must be > 0, got {radius}")
+        return self
 
 
-@dataclass(frozen=True)
-class VesselSegment:
+class _Segment(NamedTuple):
     segment_id: str
     points: tuple[VesselPoint, ...]
 
-    def __post_init__(self):
-        if len(self.points) < 2:
-            raise ValueError(f"segment {self.segment_id!r} needs >= 2 points")
+
+class VesselSegment(_Segment):
+    """A vessel segment: an immutable tuple (segment_id, points), points in
+    flow order.  Calling the class checks the point count; the .vess reader
+    builds checked segments with `tuple.__new__`, like points."""
+
+    __slots__ = ()
+
+    def __new__(cls, segment_id: str, points: tuple[VesselPoint, ...]):
+        if len(points) < 2:
+            raise ValueError(f"segment {segment_id!r} needs >= 2 points")
+        return super().__new__(cls, segment_id, points)
 
 
 @dataclass(frozen=True)
@@ -85,9 +105,10 @@ class RawVesselGraph:
         children: dict[str, list[str]] = {}
         for p, c in self.edges:
             children.setdefault(p, []).append(c)
-        object.__setattr__(self, "_children", {
-            p: tuple(sorted(kids, key=_id_sort_key)) for p, kids in children.items()
-        })
+        for kids in children.values():
+            if len(kids) > 1:
+                kids.sort(key=_id_sort_key)
+        object.__setattr__(self, "_children", dict(zip(children, map(tuple, children.values()))))
         object.__setattr__(self, "_validated", False)
 
     def children_of(self, sid: str) -> tuple[str, ...]:

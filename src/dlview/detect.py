@@ -107,14 +107,16 @@ def detect_starting_point(tree: BinaryTree, config: DetectorConfig = DetectorCon
 
 
 def detect_vein(tree: BinaryTree, config: DetectorConfig = DetectorConfig()):
-    """Flag leaves thicker than their parent beyond the error tolerance."""
-    ids, thickness, size = tree.ids, tree.thickness, tree.size
+    """Flag leaves thicker than their parent beyond the error tolerance.
+
+    Flags come in leaf preorder; scan_tree sorts them by (kind, node).
+    """
+    ids, thickness, size, parent = tree.ids, tree.thickness, tree.size, tree.parent
     flags = []
-    for i, t in enumerate(thickness):
-        if t is None:
-            continue
-        for c in tree.children(i):
-            if size[c] == 1 and thickness[c] > t + config.epsilon_mm:
+    for c in range(1, len(size)):  # the root has no parent
+        if size[c] == 1:
+            t = thickness[parent[c]]
+            if t is not None and thickness[c] > t + config.epsilon_mm:
                 flags.append(FlagRecord(
                     tree.subject_id, tree.region.value, FlagKind.VEIN,
                     ids[c], thickness[c] - t,

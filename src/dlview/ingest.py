@@ -12,6 +12,20 @@ may sit between tokens, and errors give the file's own line and column):
     HEADER <subject_id> <B|L|R|F>
     tree := "(" id ":" (number | "_") { "," tree } ")"  with 0-2 children
 
+A .vess file is read as record columns.  Its records are split into tokens
+a block at a time, each block's numbers are checked against the number
+grammar in one regex pass and converted with one map(float, ...), and the
+rules that depend on order (ids defined before use, no repeated ids, one
+parent per child, no cycles, the roots and the HEADER) are checked on whole
+sets and by RawVesselGraph.validate.  The line walker, which reads one record
+at a time, runs only when one of those checks fails or the records are not in
+serialize_vess's block order.  It takes records in any order and raises the
+located error.
+
+Errors in either format name the file's line, counted at \\n, \\r\\n and \\r
+only.  Records are still the str.splitlines pieces, so a record after a form
+feed or another Unicode line break carries the line it sits on.
+
 A .dltree body is split into nodes once, by the one node pattern _NODE, and
 the pieces are checked and converted as whole lists.  The piece walker, which
 matches _NODE node by node, runs only when one of the split's checks fails:
@@ -22,7 +36,8 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import repeat
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 from typing import Optional, Union
 
 from .core import (
@@ -79,16 +94,27 @@ class NegativeThicknessError(ParseError):
 
 _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9.+~-]*")
 _NUM_RE = re.compile(r"-?\d+(?:\.\d+)?")
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")  # the breaks that number lines
 
 
 def _lines(text: Union[str, bytes]):
-    """Number, raw text and stripped text of each line not blank or a `#` comment."""
+    """File line, 0-based column and stripped text of each record that is not
+    blank or a `#` comment.
+
+    A record is a str.splitlines piece.  A piece after one of splitlines'
+    breaks other than \\n, \\r\\n and \\r (\\v, \\f, \\x1c-\\x1e, \\x85, \\u2028,
+    \\u2029) keeps the number of the line it sits on, and its column counts
+    from that line's start.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            yield lineno, raw, line
+    for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
+        col = 0
+        for raw in line.splitlines():  # every break left in a line is one character
+            record = raw.strip()
+            if record and not record.startswith("#"):
+                yield lineno, col + raw.index(record), record
+            col += len(raw) + 1
 
 
 def _float(tok: str, lineno: int, what: str) -> float:
@@ -98,6 +124,117 @@ def _float(tok: str, lineno: int, what: str) -> float:
 
 
 def parse_vess(text: Union[str, bytes]) -> RawVesselGraph:
+    """The graph in a .vess file; a ParseError names the line of the record at fault."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    graph = _read_vess(text)
+    return _walk_vess(text) if graph is None else graph
+
+
+# Record kinds in the order _read_vess takes them.
+_RANK = {"HEADER": 0, "POINT": 1, "SEGMENT": 2, "CONNECT": 3, "ROOT": 4}
+_BLOCK = 512  # records split into tokens at a time
+# Tokens joined by " " with a trailing " ": all numbers, or all segment ids.
+_NUMS = re.compile(f"(?:(?:{_NUM_RE.pattern}) )*")
+_IDS = re.compile(f"(?:(?:{_ID_RE.pattern}) )*")
+
+
+def _read_vess(text: str) -> Optional[RawVesselGraph]:
+    """The graph in text, read as record columns; None if any check fails.
+
+    Reads one HEADER, then the POINT, SEGMENT, CONNECT and ROOT records as
+    one block of each, in that order (the order serialize_vess writes), with
+    comments and blank lines anywhere.  Records are split into tokens a block
+    at a time, and every check runs on whole columns.  A file it reads is one
+    _walk_vess accepts, and the graph is equal to the walker's; for any other
+    file, including one in another order, it returns None.
+    """
+    records = text.splitlines()
+    comments = "#" in text
+    header = None
+    points: dict[str, VesselPoint] = {}
+    segments: dict[str, VesselSegment] = {}
+    parents: list[str] = []
+    children: list[str] = []
+    roots: list[str] = []
+    n_points = n_segments = rank = 0
+    for b in range(0, len(records), _BLOCK):
+        block = list(filter(None, map(str.split, records[b:b + _BLOCK])))
+        if comments:
+            block = [toks for toks in block if toks[0][0] != "#"]
+        for kind, group in groupby(block, itemgetter(0)):
+            group = list(group)
+            r = _RANK.get(kind, -1)
+            if r < rank:
+                return None
+            rank = r
+            lengths = set(map(len, group))
+            if kind == "HEADER":
+                if header is not None or len(group) != 1 or lengths != {3}:
+                    return None
+                header = group[0]
+            elif kind == "POINT":
+                if lengths != {6}:
+                    return None
+                _, pids, *columns = zip(*group)
+                nums = list(chain.from_iterable(columns))
+                if not _NUMS.fullmatch(" ".join(nums) + " "):
+                    return None
+                values = list(map(float, nums))
+                n = len(group)
+                radii = values[3 * n:]
+                if not (min(radii) > 0.0 and -math.inf < min(values)
+                        and max(values) < math.inf):
+                    return None
+                rows = zip(values[:n], values[n:2 * n], values[2 * n:3 * n], radii)
+                points.update(zip(pids, map(tuple.__new__, repeat(VesselPoint), rows)))
+                n_points += n
+            elif kind == "SEGMENT":
+                sids = list(map(itemgetter(1), group))
+                if min(lengths) < 4 or not _IDS.fullmatch(" ".join(sids) + " "):
+                    return None
+                point = points.__getitem__
+                try:
+                    pts = [tuple(map(point, toks[2:])) for toks in group]
+                except KeyError:
+                    return None
+                segments.update(zip(sids, map(tuple.__new__, repeat(VesselSegment),
+                                              zip(sids, pts))))
+                n_segments += len(group)
+            elif kind == "CONNECT":
+                if lengths != {3}:
+                    return None
+                parents += map(itemgetter(1), group)
+                children += map(itemgetter(2), group)
+            else:
+                if lengths != {2}:
+                    return None
+                roots += map(itemgetter(1), group)
+    # Every segment comes before the CONNECT and ROOT records, so validate()
+    # checks that they name known ones, and finds a repeated root and a cycle.
+    # The edge set would hide a repeated CONNECT, so children are counted.
+    if (header is None or len(points) != n_points or len(segments) != n_segments
+            or len(set(children)) != len(children)):
+        return None
+    try:
+        region = Region.from_code(header[2])
+    except ValueError:
+        return None
+    graph = RawVesselGraph(
+        subject_id=header[1],
+        region=region,
+        segments=segments,
+        edges=frozenset(zip(parents, children)),
+        roots=tuple(roots),
+    )
+    try:
+        graph.validate()
+    except ValueError:
+        return None
+    return graph
+
+
+def _walk_vess(text: Union[str, bytes]) -> RawVesselGraph:
     subject_id: Optional[str] = None
     region: Optional[Region] = None
     points: dict[str, VesselPoint] = {}
@@ -241,24 +378,24 @@ def parse_dltree(text: Union[str, bytes]) -> BinaryTree:
     lines = list(_lines(text))
     if not lines:
         raise SyntaxParseError("empty .dltree file")
-    hline, raw, header = lines[0]
+    hline, hcol, header = lines[0]
     toks = header.split()
     try:
         if len(toks) != 3 or toks[0] != "HEADER":
             raise ValueError("first non-comment line must be HEADER <subject_id> <region>")
         region = Region.from_code(toks[2])
     except ValueError as e:
-        raise SyntaxParseError(str(e), hline, raw.index(header) + 1)
+        raise SyntaxParseError(str(e), hline, hcol + 1)
     body = "".join(line for _, _, line in lines[1:])
 
     def at(pos: int) -> tuple[int, int]:
         """File line and 1-based column of body offset pos."""
-        for line, raw, part in lines[1:]:
+        for line, col, part in lines[1:]:
             if pos < len(part):
-                return line, raw.index(part) + pos + 1
+                return line, col + pos + 1
             pos -= len(part)
-        line, raw, part = lines[-1]  # the body's end, or the header's if it is empty
-        return line, raw.index(part) + len(part) + 1
+        line, col, part = lines[-1]  # the body's end, or the header's if it is empty
+        return line, col + len(part) + 1
 
     ids, thickness, size = _parse_body(body, at)
     try:

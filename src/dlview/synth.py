@@ -39,6 +39,12 @@ class GenParams:
             raise ValueError("t0 must be positive, noise non-negative")
 
 
+# generate_tree gives up past this many nodes.  With decay=0 the branching
+# probability never falls: past p0=1/2 a tree may grow forever, and at p0=1
+# it always does.
+MAX_TREE_NODES = 1_000_000
+
+
 def _branch_p(params: GenParams, level: int) -> float:
     return min(max(params.p0 - params.decay * level, 0.0), 1.0)
 
@@ -56,6 +62,9 @@ def generate_tree(params: GenParams, seed: int, subject_id: str = "synth",
         if t is None:
             t = _child_thickness(rng, params, thickness[p], level)
         i = len(thickness)
+        if i == MAX_TREE_NODES:
+            raise ValueError(f"tree passed {MAX_TREE_NODES} nodes: p0={params.p0} and "
+                             f"decay={params.decay} keep it branching")
         thickness.append(t)
         parent.append(p)
         if rng.random() < _branch_p(params, level):

@@ -191,6 +191,11 @@ def test_flag_subsets():
         leaves = {n.node_id for n in t.nodes() if n.is_leaf}
         for f in detect_vein(t):
             assert f.node_id in leaves
+        # exactly the leaves past their parent's thickness, read from the node view
+        eps = DetectorConfig().epsilon_mm
+        assert sorted(f.node_id for f in detect_vein(t)) == sorted(
+            c.node_id for n in t.nodes() if n.thickness is not None
+            for c in n.children if c.is_leaf and c.thickness > n.thickness + eps)
         for f in detect_misconnection(t):
             assert f.node_id != t.root.node_id
         for f in detect_starting_point(t):

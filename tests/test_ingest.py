@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dlview.core import BinaryTree, Region
 from dlview.ingest import (
+    BadRadiusError,
     CycleError,
     DanglingReferenceError,
     DuplicateIdError,
@@ -15,8 +16,11 @@ from dlview.ingest import (
     SegmentTooShortError,
     SyntaxParseError,
     TooManyChildrenError,
+    _BLOCK,
     _parse_body,
+    _read_vess,
     _walk_body,
+    _walk_vess,
     parse_dltree,
     parse_vess,
     serialize_dltree,
@@ -95,6 +99,13 @@ def test_vess_reports_line_numbers():
         assert (e.col, str(e)) == (None, "point 'p1' has radius -1.0 <= 0 (line 2)")
     else:
         pytest.fail("expected ParseError")
+    # a form feed ends a record but not a line
+    with pytest.raises(BadRadiusError, match="'p2' has radius -1.0") as exc:
+        parse_vess("HEADER s B\nPOINT p1 0 0 0 1\x0cPOINT p2 0 0 0 -1\n")
+    assert exc.value.line == 2
+    with pytest.raises(BadRadiusError) as exc:
+        parse_vess("HEADER s B\r\n\rPOINT p1 0 0 0 1\u2028\x85POINT p2 0 0 0 -1\r\n")
+    assert exc.value.line == 3
 
 
 def test_parse_dltree_single_node():
@@ -219,6 +230,13 @@ def test_dltree_errors_name_the_files_own_line_and_column():
     with pytest.raises(DuplicateIdError) as exc:
         parse_dltree("HEADER s B\n(r:1,\n  (a:1),\n  (a:2))\n")
     assert (exc.value.line, exc.value.col) == (4, 3)
+    # a form feed joins the body like a line break, but the line goes on
+    with pytest.raises(NegativeThicknessError) as exc:
+        parse_dltree("HEADER s B\n(a:1.0,\x0c(b:-1.0))\n")
+    assert (exc.value.line, exc.value.col) == (2, 12)
+    with pytest.raises(NegativeThicknessError) as exc:
+        parse_dltree("HEADER s B\r\n\r  (a:1.0,\x1e\t(b:-1.0))\n")
+    assert (exc.value.line, exc.value.col) == (3, 15)
     # a tree cut short is reported just after its last token
     with pytest.raises(SyntaxParseError, match="expected '\\)'") as exc:
         parse_dltree("HEADER s B\n(r:1,\n (a:1)\n\n# end\n")
@@ -303,3 +321,133 @@ def _outcome(parse, body):
 def test_split_parse_matches_the_node_walker(body):
     """The one-split parse returns the walker's lists, or the walker's own error."""
     assert _outcome(_parse_body, body) == _outcome(_walk_body, body)
+
+
+# Numbers outside the grammar (".5", "1.", "1e5", "+1"), zeros, and digit runs
+# past float range or padded to 310 digits with leading zeros.
+_VESS_NUMBERS = (".5", "1.", "1e5", "+1", "-0", "-0.0", "9" * 310, "-" + "9" * 310,
+                 "0" * 306 + "1.25")
+_SIDS = ("POINT", "_1", "a#b", "é1", "1-")  # one id in the grammar, four outside it
+_VESS_EDITS = ("shuffle", "move", "comment", "blank", "tabs", "token", "pid", "sid",
+               "number", "repeat", "drop", "unknown", "cycle", "roots", "header")
+
+
+def _vess_edit(records, op, draw):
+    """records after one edit: shuffled, moved, commented or respaced records,
+    a token too few or too many, a pid renamed to POINT, a segment renamed, an
+    odd number, a repeated or unknown id, a cycle, extra roots or a second
+    HEADER."""
+    records = list(records)
+    kinds: dict[str, list[int]] = {}  # records with an id after the kind
+    for k, rec in enumerate(records):
+        if len(rec.split()) >= 2:
+            kinds.setdefault(rec.split()[0], []).append(k)
+    index = st.integers(0, len(records) - 1)
+    slot = st.integers(0, len(records))
+    if op == "shuffle":
+        records = draw(st.permutations(records))
+    elif op == "move":
+        records.insert(draw(slot), records.pop(draw(index)))
+    elif op == "comment":
+        records.insert(draw(slot), draw(st.sampled_from(("# note", "#POINT p1 0 0 0 -1",
+                                                         "  # ROOT zz"))))
+    elif op == "blank":
+        records.insert(draw(slot), draw(st.sampled_from(("", "  ", "\t"))))
+    elif op == "tabs":
+        i = draw(index)
+        records[i] = draw(st.sampled_from(("\t", "  ", " \t"))).join(records[i].split()) + "\t"
+    elif op == "token":
+        i = draw(index)
+        toks = records[i].split()
+        records[i] = " ".join(draw(st.sampled_from((toks[:-1], toks + ["1"]))))
+    elif op == "pid" and "POINT" in kinds or op == "sid" and "SEGMENT" in kinds:
+        kind, names = ("POINT", ("POINT",)) if op == "pid" else ("SEGMENT", _SIDS)
+        old = records[draw(st.sampled_from(kinds[kind]))].split()[1]
+        new = draw(st.sampled_from(names))
+        records = [" ".join(new if t == old and k else t for k, t in enumerate(r.split()))
+                   for r in records]
+    elif op == "number" and "POINT" in kinds:
+        i = draw(st.sampled_from(kinds["POINT"]))
+        toks = records[i].split()
+        if len(toks) == 6:
+            toks[draw(st.integers(2, 5))] = draw(st.sampled_from(_VESS_NUMBERS))
+            records[i] = " ".join(toks)
+    elif op == "repeat":
+        i = draw(index)
+        records.insert(draw(st.sampled_from((i, i + 1, len(records)))), records[i])
+    elif op == "drop":
+        del records[draw(index)]
+    elif op == "unknown":
+        i = draw(index)
+        toks = records[i].split()
+        if len(toks) >= 2 and toks[0] != "HEADER":
+            toks[draw(st.integers(1, len(toks) - 1))] = draw(st.sampled_from(("zz9", "p0")))
+            records[i] = " ".join(toks)
+    elif op == "cycle" and "CONNECT" in kinds:
+        p, c = records[draw(st.sampled_from(kinds["CONNECT"]))].split()[-2:]
+        records.append(draw(st.sampled_from((f"CONNECT {c} {p}", f"CONNECT {c} {c}"))))
+    elif op == "roots" and "SEGMENT" in kinds:
+        for i in draw(st.lists(st.sampled_from(kinds["SEGMENT"]), min_size=1, max_size=2)):
+            records.append("ROOT " + records[i].split()[1])
+    elif op == "header":
+        records.insert(draw(slot), draw(st.sampled_from(("HEADER t F", "HEADER t X"))))
+    return records
+
+
+@st.composite
+def vess_files(draw):
+    """A random_vess_graph file after zero to three edits, its records ended
+    by \\n, \\r\\n, \\r or a form feed."""
+    rnd = random.Random(draw(st.integers(0, 10**6)))
+    graph = random_vess_graph(rnd, max_segments=draw(st.sampled_from((3, 12))))
+    records = serialize_vess(graph).decode().splitlines()
+    for op in draw(st.lists(st.sampled_from(_VESS_EDITS), max_size=3)):
+        records = _vess_edit(records, op, draw)
+    ends = st.sampled_from(("\n", "\r\n", "\r", "\x0c"))
+    return "".join(rec + draw(ends) for rec in records)
+
+
+_V2 = ("HEADER s B\nPOINT p1 0 0 0 1\nPOINT p2 1 0 0 1\nSEGMENT 1 p1 p2\nSEGMENT 2 p1 p2\n"
+       "CONNECT 1 2\nROOT 1\n")
+
+
+def _vess_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return type(e), str(e), e.line
+
+
+@settings(max_examples=400, deadline=None)
+@given(vess_files())
+@example(_V2.replace("p1", "POINT"))
+@example(_V2.replace("POINT p1 0", "POINT p1 .5"))
+@example(_V2.replace("CONNECT 1 2\n", "CONNECT 1 2\nCONNECT 2 1\n"))
+@example(_V2.replace("CONNECT 1 2", "CONNECT 2 2"))
+@example(_V2.replace("CONNECT 1 2\n", "CONNECT 1 2\nCONNECT 1 2\n"))  # a repeated edge
+@example(_V2.replace("ROOT 1\n", "ROOT 1\nROOT 1\n"))
+@example(_V2.replace("POINT p2 1 0 0 1\n", "POINT p2 1 0 0 1\nPOINT p2 1 0 0 1\n"))
+@example(_V2.replace("SEGMENT 2 p1 p2\n", "SEGMENT 2 p1 p2\nSEGMENT 2 p2 p1\n"))
+@example(_V2.replace("SEGMENT 2 p1 p2\nCONNECT 1 2\n", "CONNECT 1 2\nSEGMENT 2 p1 p2\n"))
+@example(_V2.replace("POINT p1 0 0 0 1", f"POINT p1 0 {'9' * 310} 0 1"))
+@example(_V2.replace("POINT p2 1 0 0 1", "POINT p2 1 0 0 -0"))
+@example(_V2.replace("CONNECT 1 2", "CONNECT 1 2 1"))
+@example(_V2.replace("CONNECT 1 2", "CONNECT 1"))
+@example(_V2.replace("ROOT 1", "ROOT 1 1"))
+@example(_V2.replace("ROOT 1", "ROOT"))
+@example(_V2.replace("CONNECT 1 2", "CONNECT 1 3").replace("ROOT 1", "ROOT 3"))
+@example("# c\n" * (_BLOCK - 1) + "HEADER s X\n" + _V2)  # two HEADERs in two blocks
+def test_column_read_matches_the_line_walker(text):
+    """The column read returns the walker's graph, or the walker's own error."""
+    assert _vess_outcome(parse_vess, text) == _vess_outcome(_walk_vess, text)
+    graph = _read_vess(text)
+    if graph is not None:
+        assert graph == _walk_vess(text)
+
+
+def test_column_read_takes_every_file_serialize_vess_writes():
+    rng = random.Random(7)
+    for _ in range(50):
+        data = serialize_vess(random_vess_graph(rng, max_segments=30)).decode()
+        for text in (data, data.replace("\n", "\r\n"), "# c\n\n" + data.replace(" ", " \t ")):
+            assert _read_vess(text) == _walk_vess(text)

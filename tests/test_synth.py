@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from dlview import synth
 from dlview.core import Region
 from dlview.detect import DetectorConfig, FlagKind, scan_tree
 from dlview.ingest import serialize_dltree
@@ -20,6 +21,15 @@ from dlview.synth import (
 def test_p0_zero_single_node():
     t = generate_tree(GenParams(p0=0.0), seed=1)
     assert t.node_count == 1
+
+
+def test_a_tree_that_keeps_branching_stops_at_the_node_limit(monkeypatch):
+    monkeypatch.setattr(synth, "MAX_TREE_NODES", 500)
+    for params in (GenParams(p0=1.0, decay=0.0), GenParams(p0=0.95, decay=0.0)):
+        with pytest.raises(ValueError, match=r"passed 500 nodes: p0=.* and decay=0.0"):
+            generate_tree(params, seed=3)
+    monkeypatch.setattr(synth, "MAX_TREE_NODES", 1)
+    assert generate_tree(GenParams(p0=0.0), seed=1).node_count == 1
 
 
 def test_determinism():
