@@ -105,10 +105,9 @@ class RawVesselGraph:
         children: dict[str, list[str]] = {}
         for p, c in self.edges:
             children.setdefault(p, []).append(c)
-        for kids in children.values():
-            if len(kids) > 1:
-                kids.sort(key=_id_sort_key)
-        object.__setattr__(self, "_children", dict(zip(children, map(tuple, children.values()))))
+        object.__setattr__(self, "_children", {
+            p: tuple(sorted(kids, key=_id_sort_key)) for p, kids in children.items()
+        })
         object.__setattr__(self, "_validated", False)
 
     def children_of(self, sid: str) -> tuple[str, ...]:

@@ -95,25 +95,33 @@ class NegativeThicknessError(ParseError):
 _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9.+~-]*")
 _NUM_RE = re.compile(r"-?\d+(?:\.\d+)?")
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")  # the breaks that number lines
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # splitlines' other breaks
 
 
 def _lines(text: Union[str, bytes]):
-    """File line, 0-based column and stripped text of each record that is not
-    blank or a `#` comment.
+    """File line, piece offset, piece and stripped text of each record that is
+    not blank or a `#` comment.
 
-    A record is a str.splitlines piece.  A piece after one of splitlines'
-    breaks other than \\n, \\r\\n and \\r (\\v, \\f, \\x1c-\\x1e, \\x85, \\u2028,
-    \\u2029) keeps the number of the line it sits on, and its column counts
-    from that line's start.
+    A record is a str.splitlines piece, stripped; its 0-based column in the
+    file line is offset + piece.index(record).  A piece after one of
+    splitlines' breaks other than \\n, \\r\\n and \\r (\\v, \\f, \\x1c-\\x1e,
+    \\x85, \\u2028, \\u2029) keeps the number of the line it sits on, and its
+    offset counts from that line's start.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    if not any(map(text.__contains__, _OTHER_BREAKS)):  # each piece is a file line
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            record = raw.strip()
+            if record and not record.startswith("#"):
+                yield lineno, 0, raw, record
+        return
     for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
         col = 0
         for raw in line.splitlines():  # every break left in a line is one character
             record = raw.strip()
             if record and not record.startswith("#"):
-                yield lineno, col + raw.index(record), record
+                yield lineno, col, raw, record
             col += len(raw) + 1
 
 
@@ -127,7 +135,7 @@ def parse_vess(text: Union[str, bytes]) -> RawVesselGraph:
     """The graph in a .vess file; a ParseError names the line of the record at fault."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    graph = _read_vess(text)
+    graph = _read_vess(text) if _in_block_order(text) else None
     return _walk_vess(text) if graph is None else graph
 
 
@@ -137,6 +145,24 @@ _BLOCK = 512  # records split into tokens at a time
 # Tokens joined by " " with a trailing " ": all numbers, or all segment ids.
 _NUMS = re.compile(f"(?:(?:{_NUM_RE.pattern}) )*")
 _IDS = re.compile(f"(?:(?:{_ID_RE.pattern}) )*")
+
+
+def _in_block_order(text: str) -> bool:
+    """False if a record kind starts a line after a later kind starts one.
+
+    A look by str.find before any record is split, so that a file in another
+    order goes to the walker at about the walker's cost.  It only sees records
+    after a \\n with no indent; _read_vess still checks the order of the rest.
+    """
+    last = -1
+    for kind in ("POINT", "SEGMENT", "CONNECT", "ROOT"):  # _read_vess checks HEADER
+        key = "\n" + kind + " "
+        first = text.find(key)
+        if first != -1:
+            if first < last:
+                return False
+            last = text.rfind(key)
+    return True
 
 
 def _read_vess(text: str) -> Optional[RawVesselGraph]:
@@ -190,8 +216,10 @@ def _read_vess(text: str) -> Optional[RawVesselGraph]:
                 points.update(zip(pids, map(tuple.__new__, repeat(VesselPoint), rows)))
                 n_points += n
             elif kind == "SEGMENT":
+                if min(lengths) < 4:
+                    return None
                 sids = list(map(itemgetter(1), group))
-                if min(lengths) < 4 or not _IDS.fullmatch(" ".join(sids) + " "):
+                if not _IDS.fullmatch(" ".join(sids) + " "):
                     return None
                 point = points.__getitem__
                 try:
@@ -245,7 +273,7 @@ def _walk_vess(text: Union[str, bytes]) -> RawVesselGraph:
     up: dict[str, str] = {}
     roots: list[str] = []
 
-    for lineno, _, line in _lines(text):
+    for lineno, _, _, line in _lines(text):
         toks = line.split()
         kind = toks[0]
         if kind == "HEADER":
@@ -378,24 +406,24 @@ def parse_dltree(text: Union[str, bytes]) -> BinaryTree:
     lines = list(_lines(text))
     if not lines:
         raise SyntaxParseError("empty .dltree file")
-    hline, hcol, header = lines[0]
+    hline, hoff, hraw, header = lines[0]
     toks = header.split()
     try:
         if len(toks) != 3 or toks[0] != "HEADER":
             raise ValueError("first non-comment line must be HEADER <subject_id> <region>")
         region = Region.from_code(toks[2])
     except ValueError as e:
-        raise SyntaxParseError(str(e), hline, hcol + 1)
-    body = "".join(line for _, _, line in lines[1:])
+        raise SyntaxParseError(str(e), hline, hoff + hraw.index(header) + 1)
+    body = "".join(line for _, _, _, line in lines[1:])
 
     def at(pos: int) -> tuple[int, int]:
         """File line and 1-based column of body offset pos."""
-        for line, col, part in lines[1:]:
+        for line, off, raw, part in lines[1:]:
             if pos < len(part):
-                return line, col + pos + 1
+                return line, off + raw.index(part) + pos + 1
             pos -= len(part)
-        line, col, part = lines[-1]  # the body's end, or the header's if it is empty
-        return line, col + len(part) + 1
+        line, off, raw, part = lines[-1]  # the body's end, or the header's if it is empty
+        return line, off + raw.index(part) + len(part) + 1
 
     ids, thickness, size = _parse_body(body, at)
     try:

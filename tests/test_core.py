@@ -8,6 +8,7 @@ from dlview.core import (
     Region,
     UnknownNodeError,
     VesselPoint,
+    VesselSegment,
     descendant_count,
     node_level,
 )
@@ -65,6 +66,22 @@ def test_vessel_point_validation():
         VesselPoint(0, 0, 0, 0.0)
     with pytest.raises(ValueError):
         VesselPoint(float("nan"), 0, 0, 1.0)
+    with pytest.raises(ValueError):
+        VesselSegment("1", (VesselPoint(0, 0, 0, 1.0),))
+
+
+def test_vessel_point_and_segment_are_tuples():
+    p = VesselPoint(1.0, 2.0, 3.0, 0.5)
+    assert p == VesselPoint(1.0, 2.0, 3.0, 0.5) == (1.0, 2.0, 3.0, 0.5)
+    assert (p.x, p.y, p.z, p.radius) == tuple(p)
+    assert p < VesselPoint(1.0, 2.0, 4.0, 0.5)
+    # tuple.__new__ skips the checks, for values the caller has checked
+    q = tuple.__new__(VesselPoint, (1.0, 2.0, 3.0, 0.5))
+    assert type(q) is VesselPoint and q == p
+    seg = VesselSegment("1", (p, q))
+    assert seg == tuple.__new__(VesselSegment, ("1", (p, q))) == ("1", (p, q))
+    sid, points = seg
+    assert (sid, points, len(seg)) == (seg.segment_id, seg.points, 2)
 
 
 def test_duplicate_node_ids_rejected():

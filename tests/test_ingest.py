@@ -17,6 +17,7 @@ from dlview.ingest import (
     SyntaxParseError,
     TooManyChildrenError,
     _BLOCK,
+    _in_block_order,
     _parse_body,
     _read_vess,
     _walk_body,
@@ -435,6 +436,9 @@ def _vess_outcome(parse, text):
 @example(_V2.replace("CONNECT 1 2", "CONNECT 1"))
 @example(_V2.replace("ROOT 1", "ROOT 1 1"))
 @example(_V2.replace("ROOT 1", "ROOT"))
+@example(_V2.replace("SEGMENT 2 p1 p2", "SEGMENT"))
+@example(_V2.replace("SEGMENT 2 p1 p2", "SEGMENT 2"))
+@example(_V2.replace("SEGMENT 2 p1 p2", "SEGMENT 2 p1"))
 @example(_V2.replace("CONNECT 1 2", "CONNECT 1 3").replace("ROOT 1", "ROOT 3"))
 @example("# c\n" * (_BLOCK - 1) + "HEADER s X\n" + _V2)  # two HEADERs in two blocks
 def test_column_read_matches_the_line_walker(text):
@@ -450,4 +454,14 @@ def test_column_read_takes_every_file_serialize_vess_writes():
     for _ in range(50):
         data = serialize_vess(random_vess_graph(rng, max_segments=30)).decode()
         for text in (data, data.replace("\n", "\r\n"), "# c\n\n" + data.replace(" ", " \t ")):
+            assert _in_block_order(text)
             assert _read_vess(text) == _walk_vess(text)
+
+
+def test_a_file_in_another_order_goes_straight_to_the_walker():
+    lines = _V2.splitlines(keepends=True)
+    for text in ("".join(lines[:5] + lines[6:] + lines[5:6]),  # ROOT before CONNECT
+                 "".join(lines[:5] + ["POINT p3 2 0 0 1\n"] + lines[5:])):  # POINT after SEGMENT
+        assert not _in_block_order(text)
+        assert parse_vess(text) == _walk_vess(text)
+    assert _in_block_order(_V2)
