@@ -47,10 +47,19 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
+def _read_text(path: Path) -> str:
+    """The file's UTF-8 text, line breaks as written; a DataError names the
+    path of a file that is not UTF-8."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: {e}")
+
+
 def _load_tree(path: Path) -> BinaryTree:
     try:
-        return ingest.parse_dltree(path.read_bytes())
-    except ingest.ParseError as e:
+        return ingest.parse_dltree(_read_text(path))
+    except ValueError as e:
         raise DataError(f"{path}: {e}")
 
 
@@ -80,7 +89,7 @@ def _read_config(path: Path | None) -> dict[str, int | float]:
         return {}
     types = {f.name: f.type for f in fields(DetectorConfig)}
     values = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -115,7 +124,7 @@ def cmd_extract(args) -> int:
     out_dir = Path(args.out_dir)
     for path in map(Path, args.inputs):
         try:
-            tree = extract_binary_tree(ingest.parse_vess(path.read_bytes()))
+            tree = extract_binary_tree(ingest.parse_vess(_read_text(path)))
         except ValueError as e:  # a ParseError, or a graph extraction rejects
             raise DataError(f"{path}: {e}")
         _write_atomic(out_dir / _tree_filename(tree), ingest.serialize_dltree(tree))
@@ -156,7 +165,7 @@ def cmd_scan(args) -> int:
 def cmd_apply_edits(args) -> int:
     corpus = _load_corpus(Path(args.directory))
     try:
-        script = edit.parse_script(Path(args.script).read_text(encoding="utf-8"))
+        script = edit.parse_script(_read_text(Path(args.script)))
         edited = edit.apply_script(corpus, script)
     except edit.EditScriptError as e:
         raise DataError(f"{args.script}: {e}")
@@ -221,7 +230,7 @@ _MAX_COVARIATE = 1e150
 
 def _read_covariates(path: Path) -> dict[str, float]:
     ages = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip() or (lineno == 1 and line.startswith("subject")):
             continue
         try:
@@ -263,7 +272,7 @@ def cmd_stats(args) -> int:
     summary = None
     if args.flags:
         try:
-            records = detect.flags_from_tsv(Path(args.flags).read_text(encoding="utf-8"))
+            records = detect.flags_from_tsv(_read_text(Path(args.flags)))
         except ValueError as e:
             raise DataError(f"{args.flags}: {e}")
         trees = {(e.tree.subject_id, e.tree.region.value) for e in entries + compared}

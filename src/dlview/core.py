@@ -46,6 +46,18 @@ class UnknownNodeError(KeyError):
     """A node reference does not exist in the tree it was used against."""
 
 
+class TreeError(ValueError):
+    """A BinaryTree check failed at the node in preorder position `node`."""
+
+    def __init__(self, message: str, node: int):
+        super().__init__(message)
+        self.node = node
+
+
+class DuplicateNodeIdError(TreeError):
+    pass
+
+
 class _Point(NamedTuple):
     x: float
     y: float
@@ -218,13 +230,13 @@ class BinaryTree:
         position: dict[str, int] = {}
         for i, node_id in enumerate(self.ids):
             if node_id in position:
-                raise ValueError(f"duplicate node_id {node_id!r}")
+                raise DuplicateNodeIdError(f"duplicate node_id {node_id!r}", i)
             position[node_id] = i
         if self.thickness[0] is None and len(self.children(0)) != 2:
-            raise ValueError("phantom root must have exactly 2 children")
+            raise TreeError("phantom root must have exactly 2 children", 0)
         if None in self.thickness[1:]:
-            node_id = self.ids[self.thickness.index(None, 1)]
-            raise ValueError(f"non-root node {node_id!r} lacks thickness")
+            i = self.thickness.index(None, 1)
+            raise TreeError(f"non-root node {self.ids[i]!r} lacks thickness", i)
         object.__setattr__(self, "_position", position)
 
     @property

@@ -12,15 +12,17 @@ may sit between tokens, and errors give the file's own line and column):
     HEADER <subject_id> <B|L|R|F>
     tree := "(" id ":" (number | "_") { "," tree } ")"  with 0-2 children
 
-A .vess file is read as record columns.  Its records are split into tokens
-a block at a time, each block's numbers are checked against the number
-grammar in one regex pass and converted with one map(float, ...), and the
-rules that depend on order (ids defined before use, no repeated ids, one
-parent per child, no cycles, the roots and the HEADER) are checked on whole
-sets and by RawVesselGraph.validate.  The line walker, which reads one record
-at a time, runs only when one of those checks fails or the records are not in
-serialize_vess's block order.  It takes records in any order and raises the
-located error.
+A .vess file holds exactly one HEADER, and its records may come in any
+order as long as every id is defined before a record uses it.  It is read as
+record columns: records are split into tokens a block at a time and taken in
+file order, a run of one kind at a time; each run's numbers are checked
+against the number grammar in one regex pass and converted with one
+map(float, ...), and its ids are checked against the points or segments read
+before it.  No repeated ids, one parent per child, no cycles and the roots
+are checked on whole sets and by RawVesselGraph.validate.  The line walker,
+which reads one record at a time, runs only when one of those checks fails:
+it accepts exactly the files the column read accepts, and raises the located
+error.
 
 Errors in either format name the file's line, counted at \\n, \\r\\n and \\r
 only.  Records are still the str.splitlines pieces, so a record after a form
@@ -42,8 +44,10 @@ from typing import Optional, Union
 
 from .core import (
     BinaryTree,
+    DuplicateNodeIdError,
     RawVesselGraph,
     Region,
+    TreeError,
     VesselPoint,
     VesselSegment,
     _id_sort_key,
@@ -135,45 +139,25 @@ def parse_vess(text: Union[str, bytes]) -> RawVesselGraph:
     """The graph in a .vess file; a ParseError names the line of the record at fault."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    graph = _read_vess(text) if _in_block_order(text) else None
+    graph = _read_vess(text)
     return _walk_vess(text) if graph is None else graph
 
 
-# Record kinds in the order _read_vess takes them.
-_RANK = {"HEADER": 0, "POINT": 1, "SEGMENT": 2, "CONNECT": 3, "ROOT": 4}
 _BLOCK = 512  # records split into tokens at a time
 # Tokens joined by " " with a trailing " ": all numbers, or all segment ids.
 _NUMS = re.compile(f"(?:(?:{_NUM_RE.pattern}) )*")
 _IDS = re.compile(f"(?:(?:{_ID_RE.pattern}) )*")
 
 
-def _in_block_order(text: str) -> bool:
-    """False if a record kind starts a line after a later kind starts one.
-
-    A look by str.find before any record is split, so that a file in another
-    order goes to the walker at about the walker's cost.  It only sees records
-    after a \\n with no indent; _read_vess still checks the order of the rest.
-    """
-    last = -1
-    for kind in ("POINT", "SEGMENT", "CONNECT", "ROOT"):  # _read_vess checks HEADER
-        key = "\n" + kind + " "
-        first = text.find(key)
-        if first != -1:
-            if first < last:
-                return False
-            last = text.rfind(key)
-    return True
-
-
 def _read_vess(text: str) -> Optional[RawVesselGraph]:
     """The graph in text, read as record columns; None if any check fails.
 
-    Reads one HEADER, then the POINT, SEGMENT, CONNECT and ROOT records as
-    one block of each, in that order (the order serialize_vess writes), with
-    comments and blank lines anywhere.  Records are split into tokens a block
-    at a time, and every check runs on whole columns.  A file it reads is one
-    _walk_vess accepts, and the graph is equal to the walker's; for any other
-    file, including one in another order, it returns None.
+    Records are split into tokens a block at a time and taken in file order,
+    one run of records of one kind at a time, with comments and blank lines
+    anywhere.  Each run is checked as whole columns, and the ids it uses
+    against the points or segments read before it.  It reads exactly the
+    files _walk_vess accepts, into an equal graph; for any other file it
+    returns None.
     """
     records = text.splitlines()
     comments = "#" in text
@@ -183,17 +167,13 @@ def _read_vess(text: str) -> Optional[RawVesselGraph]:
     parents: list[str] = []
     children: list[str] = []
     roots: list[str] = []
-    n_points = n_segments = rank = 0
+    n_points = n_segments = 0
     for b in range(0, len(records), _BLOCK):
         block = list(filter(None, map(str.split, records[b:b + _BLOCK])))
         if comments:
             block = [toks for toks in block if toks[0][0] != "#"]
         for kind, group in groupby(block, itemgetter(0)):
             group = list(group)
-            r = _RANK.get(kind, -1)
-            if r < rank:
-                return None
-            rank = r
             lengths = set(map(len, group))
             if kind == "HEADER":
                 if header is not None or len(group) != 1 or lengths != {3}:
@@ -232,15 +212,22 @@ def _read_vess(text: str) -> Optional[RawVesselGraph]:
             elif kind == "CONNECT":
                 if lengths != {3}:
                     return None
-                parents += map(itemgetter(1), group)
-                children += map(itemgetter(2), group)
-            else:
+                _, ps, cs = zip(*group)
+                if not segments.keys() >= {*ps, *cs}:
+                    return None
+                parents += ps
+                children += cs
+            elif kind == "ROOT":
                 if lengths != {2}:
                     return None
-                roots += map(itemgetter(1), group)
-    # Every segment comes before the CONNECT and ROOT records, so validate()
-    # checks that they name known ones, and finds a repeated root and a cycle.
-    # The edge set would hide a repeated CONNECT, so children are counted.
+                _, rs = zip(*group)
+                if not segments.keys() >= set(rs):
+                    return None
+                roots += rs
+            else:
+                return None
+    # validate() finds a repeated root, a root with a parent and a cycle; the
+    # edge set would hide a repeated CONNECT, so children are counted.
     if (header is None or len(points) != n_points or len(segments) != n_segments
             or len(set(children)) != len(children)):
         return None
@@ -271,12 +258,14 @@ def _walk_vess(text: Union[str, bytes]) -> RawVesselGraph:
     # union-find toward each segment's tree root: up[s] is some ancestor of
     # s, and only segments that have a parent have an entry
     up: dict[str, str] = {}
-    roots: list[str] = []
+    roots: dict[str, None] = {}  # in file order
 
     for lineno, _, _, line in _lines(text):
         toks = line.split()
         kind = toks[0]
         if kind == "HEADER":
+            if subject_id is not None:
+                raise SyntaxParseError("more than one HEADER record", lineno)
             if len(toks) != 3:
                 raise SyntaxParseError("HEADER needs <subject_id> <region>", lineno)
             subject_id = toks[1]
@@ -327,6 +316,8 @@ def _walk_vess(text: Union[str, bytes]) -> RawVesselGraph:
                 raise DanglingReferenceError(
                     f"segment {c!r} already has a parent", lineno
                 )
+            if c in roots:
+                raise DanglingReferenceError(f"root {c!r} has a parent", lineno)
             # c has no parent yet, so it is the root of its own tree
             root = _find_root(up, p)
             if root == c:
@@ -341,7 +332,9 @@ def _walk_vess(text: Union[str, bytes]) -> RawVesselGraph:
                 raise DanglingReferenceError(f"unknown segment id {sid!r}", lineno)
             if sid in roots:
                 raise DuplicateIdError(f"duplicate ROOT {sid!r}", lineno)
-            roots.append(sid)
+            if sid in up:
+                raise DanglingReferenceError(f"root {sid!r} has a parent", lineno)
+            roots[sid] = None
         else:
             raise SyntaxParseError(f"unknown record {kind!r}", lineno)
 
@@ -428,14 +421,9 @@ def parse_dltree(text: Union[str, bytes]) -> BinaryTree:
     ids, thickness, size = _parse_body(body, at)
     try:
         return BinaryTree(toks[1], region, ids=ids, thickness=thickness, size=size)
-    except ValueError as e:
-        msg = str(e)
-        # the node the check stopped at: a repeated id, a later "_", or the root
-        first: dict[str, int] = {}
-        repeats = (k for k, x in enumerate(ids) if first.setdefault(x, k) != k)
-        j = next(repeats, thickness.index(None, 1) if "lacks" in msg else 0)
-        cls = DuplicateIdError if "duplicate" in msg else SyntaxParseError
-        raise cls(msg, *at([p for p, c in enumerate(body) if c == "("][j]))
+    except TreeError as e:  # located at the '(' that opens the node it names
+        cls = DuplicateIdError if isinstance(e, DuplicateNodeIdError) else SyntaxParseError
+        raise cls(str(e), *at([p for p, c in enumerate(body) if c == "("][e.node]))
 
 
 # The pieces that open a node, each after optional spaces or tabs, with the

@@ -445,6 +445,30 @@ def test_bad_script_region_names_script_and_line(tmp_path, capsys, small_corpus)
     assert f"{script}: line 2: unknown region code 'Q'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, bad", [
+    ("scan", "tree"), ("render", "tree"), ("apply-edits", "tree"), ("stats", "tree"),
+    ("apply-edits", "script"), ("stats", "covariates"), ("scan", "config"),
+])
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, small_corpus, command, bad):
+    config = tmp_path / "detect.cfg"
+    config.write_text("epsilon_mm = 0.3\n")
+    path = {"tree": sorted(small_corpus.glob("*.dltree"))[0],
+            "script": small_corpus / "repairs.edits",
+            "covariates": small_corpus / "ages.tsv", "config": config}[bad]
+    path.write_bytes(b"# \xff\n" + path.read_bytes())
+    out = tmp_path / "out"
+    argv = {"scan": ("--report", str(out / "r.tsv"), "--config", str(config)),
+            "render": ("--out-dir", str(out)),
+            "apply-edits": ("--script", str(small_corpus / "repairs.edits"),
+                            "--out-dir", str(out)),
+            "stats": ("--covariates", str(small_corpus / "ages.tsv"),
+                      "--out", str(out / "t.tsv"))}[command]
+    first = str(path if command == "render" else small_corpus)
+    assert run(command, first, *argv) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+    assert not out.exists()
+
+
 def test_apply_edits_merge_of_huge_thicknesses_reads_back(tmp_path):
     # the mean of two thicknesses near the float maximum once overflowed to inf,
     # and apply-edits wrote "(r:inf)", which no command could read

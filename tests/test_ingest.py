@@ -17,7 +17,6 @@ from dlview.ingest import (
     SyntaxParseError,
     TooManyChildrenError,
     _BLOCK,
-    _in_block_order,
     _parse_body,
     _read_vess,
     _walk_body,
@@ -109,6 +108,20 @@ def test_vess_reports_line_numbers():
     assert exc.value.line == 3
 
 
+def test_vess_second_header_is_an_error_at_its_line():
+    with pytest.raises(SyntaxParseError, match=r"more than one HEADER record \(line 6\)"):
+        parse_vess(MINIMAL_VESS.replace("ROOT 1\n", "# c\nHEADER t F\nROOT 1\n"))
+
+
+def test_vess_root_with_a_parent_names_the_later_record():
+    connect, root = "CONNECT 1 2\n", "ROOT 2\n"
+    head = _V2.replace("CONNECT 1 2\n", "")
+    for first, second in ((connect, root), (root, connect)):
+        with pytest.raises(DanglingReferenceError, match="root '2' has a parent") as exc:
+            parse_vess(head + first + "# c\n" + second)
+        assert exc.value.line == 9
+
+
 def test_parse_dltree_single_node():
     t = parse_dltree("HEADER s B\n(r:1.5)\n")
     assert t.node_count == 1
@@ -140,6 +153,16 @@ def test_dltree_error_classes():
         parse_dltree("HEADER s B\n(r:1\n")
     with pytest.raises(SyntaxParseError):
         parse_dltree("(r:1)\n")
+
+
+def test_dltree_tree_check_errors_take_class_and_node_from_the_check():
+    # node ids that read like the words of another check's message
+    with pytest.raises(DuplicateIdError, match="duplicate node_id 'lacks'") as exc:
+        parse_dltree("HEADER s B\n(r:1,(lacks:1),(lacks:2))\n")
+    assert (exc.value.line, exc.value.col) == (2, 16)
+    with pytest.raises(SyntaxParseError, match="node 'duplicate' lacks thickness") as exc:
+        parse_dltree("HEADER s B\n(r:1,(duplicate:_))\n")
+    assert (exc.value.line, exc.value.col) == (2, 6)
 
 
 def test_serialize_formats_four_decimals():
@@ -441,6 +464,7 @@ def _vess_outcome(parse, text):
 @example(_V2.replace("SEGMENT 2 p1 p2", "SEGMENT 2 p1"))
 @example(_V2.replace("CONNECT 1 2", "CONNECT 1 3").replace("ROOT 1", "ROOT 3"))
 @example("# c\n" * (_BLOCK - 1) + "HEADER s X\n" + _V2)  # two HEADERs in two blocks
+@example(_V2.replace("ROOT 1\n", "HEADER t F\nROOT 1\n"))  # a second HEADER
 def test_column_read_matches_the_line_walker(text):
     """The column read returns the walker's graph, or the walker's own error."""
     assert _vess_outcome(parse_vess, text) == _vess_outcome(_walk_vess, text)
@@ -449,19 +473,42 @@ def test_column_read_matches_the_line_walker(text):
         assert graph == _walk_vess(text)
 
 
+@settings(max_examples=400, deadline=None)
+@given(vess_files())
+def test_column_read_takes_every_file_the_walker_accepts(text):
+    try:
+        graph = _walk_vess(text)
+    except ParseError:
+        return
+    assert _read_vess(text) == graph
+
+
 def test_column_read_takes_every_file_serialize_vess_writes():
     rng = random.Random(7)
     for _ in range(50):
         data = serialize_vess(random_vess_graph(rng, max_segments=30)).decode()
         for text in (data, data.replace("\n", "\r\n"), "# c\n\n" + data.replace(" ", " \t ")):
-            assert _in_block_order(text)
             assert _read_vess(text) == _walk_vess(text)
 
 
-def test_a_file_in_another_order_goes_straight_to_the_walker():
+def test_column_read_takes_a_file_in_another_order():
     lines = _V2.splitlines(keepends=True)
     for text in ("".join(lines[:5] + lines[6:] + lines[5:6]),  # ROOT before CONNECT
-                 "".join(lines[:5] + ["POINT p3 2 0 0 1\n"] + lines[5:])):  # POINT after SEGMENT
-        assert not _in_block_order(text)
-        assert parse_vess(text) == _walk_vess(text)
-    assert _in_block_order(_V2)
+                 "".join(lines[:5] + ["POINT p3 2 0 0 1\n"] + lines[5:]),  # POINT after SEGMENT
+                 "".join(lines[1:] + lines[:1])):  # HEADER last
+        graph = _read_vess(text)
+        assert graph is not None and graph == _walk_vess(text)
+    # interleaved, each SEGMENT right after its own POINTs
+    rng = random.Random(3)
+    for _ in range(20):
+        records = serialize_vess(random_vess_graph(rng, max_segments=30)).decode().splitlines()
+        points = {r.split()[1]: r for r in records if r.startswith("POINT")}
+        interleaved = []
+        for r in records:
+            if r.startswith("SEGMENT"):
+                interleaved += [points[pid] for pid in r.split()[2:]]
+            if not r.startswith("POINT"):
+                interleaved.append(r)
+        text = "\n".join(interleaved) + "\n"
+        graph = _read_vess(text)
+        assert graph is not None and graph == _walk_vess(text)
