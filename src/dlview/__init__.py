@@ -9,13 +9,11 @@ from .core import (
     Region,
     VesselPoint,
     VesselSegment,
-    descendant_count,
-    node_level,
 )
 from .detect import DetectorConfig, FlagKind, FlagRecord, scan_tree
 from .extract import extract_binary_tree
 from .ingest import parse_dltree, parse_vess, serialize_dltree, serialize_vess
-from .layout import DlLayout, LayoutConfig, build_layout, color_bin, y_coordinate
+from .layout import DlLayout, build_layout, color_bin
 from .render import RenderOptions, render_svg
 from .stats import RegressionResult, region_age_analysis, slope_p_value, summarize_flags
 from .synth import GenParams, generate_corpus, generate_tree, inject_anomaly

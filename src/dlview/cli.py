@@ -21,8 +21,9 @@ from . import detect, edit, ingest, stats, synth
 from .core import BinaryTree, CorpusEntry
 from .detect import DetectorConfig, FlagKind
 from .extract import extract_binary_tree
-from .layout import LayoutConfig, build_layout
-from .render import RenderOptions, render_svg
+from .layout import build_layout
+from .render import (MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, RenderOptions,
+                     render_svg)
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -89,10 +90,7 @@ def _read_config(path: Path | None) -> dict[str, int | float]:
         return {}
     types = {f.name: f.type for f in fields(DetectorConfig)}
     values = {}
-    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, _, _, line in ingest._lines(_read_text(path)):
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition("="))
@@ -135,20 +133,18 @@ def cmd_render(args) -> int:
     out_dir = Path(args.out_dir)
     options = RenderOptions(width=args.width, height=args.height)
     # RenderOptions accepts any positive size; a figure needs room inside its margins
-    for flag, size, margins in (
-            ("--width", options.width, options.margin_left + options.margin_right),
-            ("--height", options.height, options.margin_top + options.margin_bottom)):
+    for flag, size, margins in (("--width", options.width, MARGIN_LEFT + MARGIN_RIGHT),
+                                ("--height", options.height, MARGIN_TOP + MARGIN_BOTTOM)):
         if size <= margins:
             raise DataError(f"{flag} {size} leaves no room to plot: the margins take "
                             f"{margins:g} px, so the minimum is {math.floor(margins) + 1}")
-    config = LayoutConfig(jitter_salt=args.jitter_seed_salt)
     outputs = {}  # every output name is checked before anything is written
     for path in map(Path, args.inputs):
         svg_path = out_dir / (path.stem + ".svg")
         if outputs.setdefault(svg_path, path) is not path:
             raise DataError(f"{outputs[svg_path]} and {path} both render to {svg_path}")
     for svg_path, path in outputs.items():
-        svg = render_svg(build_layout(_load_tree(path), config), options)
+        svg = render_svg(build_layout(_load_tree(path), args.jitter_seed_salt), options)
         _write_atomic(svg_path, svg)
     return EXIT_OK
 
@@ -230,7 +226,7 @@ _MAX_COVARIATE = 1e150
 
 def _read_covariates(path: Path) -> dict[str, float]:
     ages = {}
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
+    for lineno, _, line in ingest._pieces(_read_text(path)):
         if not line.strip() or (lineno == 1 and line.startswith("subject")):
             continue
         try:

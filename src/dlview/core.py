@@ -282,10 +282,6 @@ class BinaryTree:
                 f"node {node_id!r} not in tree {self.subject_id}/{self.region.value}"
             )
 
-    def parent_id(self, node_id: str) -> Optional[str]:
-        p = self.parent[self.position(node_id)]
-        return None if p < 0 else self.ids[p]
-
     def subtree(self, i: int) -> "BinaryTree":
         """The subtree under node i as a tree of its own."""
         if i == 0:
@@ -327,16 +323,6 @@ class BinaryTree:
 
     def node(self, node_id: str) -> BinaryNode:
         return self._view[self.position(node_id)]
-
-
-def descendant_count(tree: BinaryTree, node_id: str) -> int:
-    """Number of proper descendants of the node (the node itself excluded)."""
-    return tree.size[tree.position(node_id)] - 1
-
-
-def node_level(tree: BinaryTree, node_id: str) -> int:
-    """Depth of the node; the root sits at level 0."""
-    return tree.level[tree.position(node_id)]
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import statistics
 from dataclasses import dataclass
 
 from .core import BinaryTree, Region
+from .ingest import _pieces
 
 
 class FlagKind(enum.Enum):
@@ -50,6 +51,15 @@ class FlagRecord:
     severity: float  # mm of excess
 
 
+def _median(values) -> float:
+    """statistics.median's value, with an even count's middle pair halved
+    before it is added: the same float for any normal result, and no
+    overflow to inf when both are near the float maximum."""
+    s = sorted(values)
+    m = len(s) // 2
+    return s[m] if len(s) % 2 else s[m - 1] / 2.0 + s[m] / 2.0
+
+
 def detect_misconnection(tree: BinaryTree, config: DetectorConfig = DetectorConfig()):
     """Flag maximal nodes whose subtree median thickness jumps above the parent.
 
@@ -70,7 +80,7 @@ def detect_misconnection(tree: BinaryTree, config: DetectorConfig = DetectorConf
         # only the root can lack a thickness, and no subtree below it holds the root
         if (parent_t is not None and size[i] >= config.misconnection_min_subtree
                 and top[i] - parent_t - epsilon > 0):
-            med = statistics.median(thickness[i:i + size[i]])
+            med = _median(thickness[i:i + size[i]])
             if med - parent_t - epsilon > 0:
                 flags.append(FlagRecord(
                     tree.subject_id, tree.region.value,
@@ -99,10 +109,13 @@ def detect_starting_point(tree: BinaryTree, config: DetectorConfig = DetectorCon
         i = max(kids, key=tree.size.__getitem__)  # the first of equals: a tie keeps the left child
     if len(chain) < config.startpoint_min_chain:
         return []
-    mean_excess = statistics.fmean(t - config.startpoint_thick_mm for t in chain)
+    try:
+        severity = len(chain) * statistics.fmean(t - config.startpoint_thick_mm for t in chain)
+    except OverflowError:  # the excesses sum past the float maximum
+        severity = math.inf
     return [FlagRecord(
         tree.subject_id, tree.region.value, FlagKind.STARTING_POINT,
-        tree.ids[0], len(chain) * mean_excess,
+        tree.ids[0], severity,
     )]
 
 
@@ -147,7 +160,7 @@ def flags_to_tsv(flags) -> str:
 def flags_from_tsv(text: str) -> list[FlagRecord]:
     """Parse a flags.tsv; a bad row raises ValueError naming its line."""
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, _, line in _pieces(text):
         if not line.strip() or (lineno == 1 and line.startswith("subject\t")):
             continue
         try:

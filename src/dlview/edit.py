@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import BinaryTree, Region, UnknownNodeError
+from .ingest import _lines
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,7 @@ _OP_OF_VERB = {verb: op for op, (verb, _) in _NODE_OPS.items()}
 
 def parse_script(text: str) -> list[ScriptLine]:
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, _, _, line in _lines(text):
         toks = line.split()
         if len(toks) == 3 and toks[1] == "*" and toks[2] == "EXCLUDE":
             lines.append(ScriptLine(toks[0], None, ExcludeCase(), lineno))

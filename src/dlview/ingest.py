@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import chain, groupby, repeat
+from itertools import chain, count, filterfalse, groupby, repeat
 from operator import itemgetter
 from typing import Optional, Union
 
@@ -102,31 +102,37 @@ _LINE_BREAK = re.compile(r"\r\n|\r|\n")  # the breaks that number lines
 _OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # splitlines' other breaks
 
 
+def _pieces(text: str):
+    """File line, offset and text of each str.splitlines piece of text.
+
+    Lines are numbered at \\n, \\r\\n and \\r only.  A piece after one of
+    splitlines' other breaks (\\v, \\f, \\x1c-\\x1e, \\x85, \\u2028,
+    \\u2029) keeps the number of the line it sits on, and its offset counts
+    from that line's start.  Every text reader numbers its lines here.
+    """
+    if not any(map(text.__contains__, _OTHER_BREAKS)):  # each piece is a file line
+        yield from zip(count(1), repeat(0), text.splitlines())
+        return
+    for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
+        col = 0
+        for piece in line.splitlines():  # every break left in a line is one character
+            yield lineno, col, piece
+            col += len(piece) + 1
+
+
 def _lines(text: Union[str, bytes]):
     """File line, piece offset, piece and stripped text of each record that is
     not blank or a `#` comment.
 
-    A record is a str.splitlines piece, stripped; its 0-based column in the
-    file line is offset + piece.index(record).  A piece after one of
-    splitlines' breaks other than \\n, \\r\\n and \\r (\\v, \\f, \\x1c-\\x1e,
-    \\x85, \\u2028, \\u2029) keeps the number of the line it sits on, and its
-    offset counts from that line's start.
+    A record is a `_pieces` piece, stripped; its 0-based column in the file
+    line is offset + piece.index(record).
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    if not any(map(text.__contains__, _OTHER_BREAKS)):  # each piece is a file line
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            record = raw.strip()
-            if record and not record.startswith("#"):
-                yield lineno, 0, raw, record
-        return
-    for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
-        col = 0
-        for raw in line.splitlines():  # every break left in a line is one character
-            record = raw.strip()
-            if record and not record.startswith("#"):
-                yield lineno, col, raw, record
-            col += len(raw) + 1
+    for lineno, col, raw in _pieces(text):
+        record = raw.strip()
+        if record and not record.startswith("#"):
+            yield lineno, col, raw, record
 
 
 def _float(tok: str, lineno: int, what: str) -> float:
@@ -539,7 +545,13 @@ def _close_at(m: re.Match, k: int) -> int:
 
 
 def serialize_dltree(tree: BinaryTree) -> bytes:
-    """Canonical form: left child first, thickness with exactly 4 decimals."""
+    """Canonical form: left child first, thickness with exactly 4 decimals.
+
+    A node id outside the id grammar, which would not read back as itself,
+    raises ValueError."""
+    bad = next(filterfalse(_ID_RE.fullmatch, tree.ids), None)
+    if bad is not None:
+        raise ValueError(f"node id {bad!r} is outside the .dltree id grammar")
     closes = [0] * (tree.node_count + 1)  # [k]: subtrees whose last node is k - 1
     for j, s in enumerate(tree.size):
         closes[j + s] += 1

@@ -3,8 +3,10 @@ thickness histogram and range for one tree.
 
 y = log2(descendants + 1), x = level.  Thickness maps linearly onto 100
 color bins over [0, 4] mm; anything thicker lands in the top bin.  Nodes
-below `low_y_threshold` are displaced by `jitter_offset`, the one spec of
-the jitter.
+below y = LOW_Y_THRESHOLD are displaced by at most JITTER_AMPLITUDE, keyed
+by `build_layout`'s `jitter_salt` and the node's subject, region and id;
+`jitter_offset` is the one spec of the jitter.  Only the salt can be set, so
+every tree of a review is drawn the same way.
 
 A `DlLayout` is stored the way the tree is: preorder tuples with one slot
 per node (`ids`, `parent`, `x`, `y`, `y_jittered`, `color_bin`), so node
@@ -28,25 +30,16 @@ from .core import BinaryTree
 
 BIN_COUNT = 100
 THICKNESS_RANGE_MM = 4.0
-
-
-@dataclass(frozen=True)
-class LayoutConfig:
-    jitter_amplitude: float = 0.15
-    low_y_threshold: float = 3.0
-    jitter_salt: str = ""
-
-
-def y_coordinate(descendants: int) -> float:
-    if descendants < 0:
-        raise ValueError("descendant count cannot be negative")
-    return math.log2(descendants + 1)
+JITTER_AMPLITUDE = 0.15
+LOW_Y_THRESHOLD = 3.0
 
 
 def color_bin(thickness: float) -> int:
     if thickness < 0:
         raise ValueError(f"negative thickness {thickness}")
-    return min(int(math.floor(thickness / THICKNESS_RANGE_MM * BIN_COUNT)), BIN_COUNT - 1)
+    # clamped before the float becomes an int, since a thickness past about
+    # 1.8e307 mm scales to inf
+    return int(min(thickness / THICKNESS_RANGE_MM * BIN_COUNT, BIN_COUNT - 1))
 
 
 def color_ramp() -> list[str]:
@@ -142,21 +135,20 @@ def jitter_offset(subject_id: str, region_code: str, node_id: str,
     return (2.0 * u - 1.0) * amplitude
 
 
-def build_layout(tree: BinaryTree, config: LayoutConfig = LayoutConfig()) -> DlLayout:
+def build_layout(tree: BinaryTree, jitter_salt: str = "") -> DlLayout:
     ids, size = tree.ids, tree.size
-    amplitude, low_y = config.jitter_amplitude, config.low_y_threshold
     # jitter_offset's key up to the node id; utf-8 of a concatenation is the
     # concatenation of the utf-8 parts
     prefix = hashlib.sha256(
-        f"{config.jitter_salt}|{tree.subject_id}|{tree.region.value}|".encode("utf-8"))
-    y = tuple(map(math.log2, size))  # y_coordinate(size[i] - 1)
+        f"{jitter_salt}|{tree.subject_id}|{tree.region.value}|".encode("utf-8"))
+    y = tuple(map(math.log2, size))  # log2(descendants + 1)
     y_jittered = list(y)
     for i, v in enumerate(y):
-        if v < low_y:
+        if v < LOW_Y_THRESHOLD:
             h = prefix.copy()
             h.update(ids[i].encode("utf-8"))
             u = int.from_bytes(h.digest()[:8], "big") / 2**64
-            y_jittered[i] = v + (2.0 * u - 1.0) * amplitude
+            y_jittered[i] = v + (2.0 * u - 1.0) * JITTER_AMPLITUDE
     present = [t for t in tree.thickness if t is not None]
     bins = list(map(color_bin, present))
     histogram = [0] * BIN_COUNT

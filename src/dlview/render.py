@@ -10,12 +10,13 @@ from node parent[i] to node i.  Each coordinate string is formatted once: a
 column's x once per level and a node's cy once per node; every segment, dot
 and level tick reuses them.
 
-Every string that depends only on the RenderOptions (the header, the color
-bar, each bin's count-bar x and y, the mm ticks, the axis labels, the tick
-labels' fixed coordinate and the range note's position) is the figure's
-frame, built by ``_frame`` once per options value and cached.  A call
-formats only what depends on the layout: segments, dots, the tree's own
-tick labels, the widths of the non-empty count bars and the range text.
+The dot radius and the margins are constants; the options are the size and
+the axis labels.  Every string that depends only on the RenderOptions (the
+header, the color bar, each bin's count-bar x and y, the mm ticks, the axis
+labels, the tick labels' fixed coordinate and the range note's position) is
+the figure's frame, built by ``_frame`` once per options value and cached.
+A call formats only what depends on the layout: segments, dots, the tree's
+own tick labels, the widths of the non-empty count bars and the range text.
 """
 
 from __future__ import annotations
@@ -29,15 +30,17 @@ from xml.sax.saxutils import escape
 from .layout import BIN_COUNT, COLOR_RAMP, THICKNESS_RANGE_MM, DlLayout
 
 
+DOT_RADIUS = 3.5
+MARGIN_LEFT = 60.0
+MARGIN_RIGHT = 220.0  # holds the color bar and the count bars
+MARGIN_TOP = 50.0
+MARGIN_BOTTOM = 50.0
+
+
 @dataclass(frozen=True)
 class RenderOptions:
     width: int = 1000
     height: int = 800
-    dot_radius: float = 3.5
-    margin_left: float = 60.0
-    margin_right: float = 220.0
-    margin_top: float = 50.0
-    margin_bottom: float = 50.0
     axis_labels: bool = True
 
     def __post_init__(self):
@@ -66,8 +69,8 @@ class _Frame(NamedTuple):
 @lru_cache(maxsize=16)
 def _frame(o: RenderOptions, width_type: type, height_type: type) -> _Frame:
     # the types are part of the key: 640 == 640.0, but they print differently
-    plot_w = o.width - o.margin_left - o.margin_right
-    plot_h = o.height - o.margin_top - o.margin_bottom
+    plot_w = o.width - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = o.height - MARGIN_TOP - MARGIN_BOTTOM
 
     head = "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -79,24 +82,24 @@ def _frame(o: RenderOptions, width_type: type, height_type: type) -> _Frame:
     axis = []
     if o.axis_labels:
         axis.append(
-            f'<text x="{_fmt(o.margin_left + plot_w / 2)}" '
+            f'<text x="{_fmt(MARGIN_LEFT + plot_w / 2)}" '
             f'y="{_fmt(o.height - 12)}" text-anchor="middle">level</text>'
         )
         axis.append(
-            f'<text x="{_fmt(14.0)}" y="{_fmt(o.margin_top + plot_h / 2)}" '
+            f'<text x="{_fmt(14.0)}" y="{_fmt(MARGIN_TOP + plot_h / 2)}" '
             f'text-anchor="middle" transform="rotate(-90 14.00 '
-            f'{_fmt(o.margin_top + plot_h / 2)})">log2(descendants + 1)</text>'
+            f'{_fmt(MARGIN_TOP + plot_h / 2)})">log2(descendants + 1)</text>'
         )
     axis.append("</g>")
 
-    bar_x = o.width - o.margin_right + 40
+    bar_x = o.width - MARGIN_RIGHT + 40
     bar_w = 18.0
     hist_x = bar_x + bar_w + 4
     cell_h = plot_h / BIN_COUNT
     color_rects, hist_prefix = [], []
     for i in range(BIN_COUNT):
         # bin 0 at the bottom
-        y = o.margin_top + (BIN_COUNT - 1 - i) * cell_h
+        y = MARGIN_TOP + (BIN_COUNT - 1 - i) * cell_h
         color_rects.append(
             f'<rect x="{_fmt(bar_x)}" y="{_fmt(y)}" width="{_fmt(bar_w)}" '
             f'height="{_fmt(cell_h)}" fill="{COLOR_RAMP[i]}"/>'
@@ -105,7 +108,7 @@ def _frame(o: RenderOptions, width_type: type, height_type: type) -> _Frame:
 
     sidebar_close = ['</g>', '<g font-family="sans-serif" font-size="10" fill="#333333">']
     for mm in range(0, int(THICKNESS_RANGE_MM) + 1):
-        y = o.margin_top + plot_h * (1 - mm / THICKNESS_RANGE_MM)
+        y = MARGIN_TOP + plot_h * (1 - mm / THICKNESS_RANGE_MM)
         sidebar_close.append(
             f'<text x="{_fmt(bar_x - 4)}" y="{_fmt(y + 3)}" '
             f'text-anchor="end">{mm}</text>'
@@ -114,14 +117,14 @@ def _frame(o: RenderOptions, width_type: type, height_type: type) -> _Frame:
 
     return _Frame(
         head=head,
-        r=_fmt(o.dot_radius),
-        tick_y=_fmt(o.height - o.margin_bottom + 16),
-        tick_x=_fmt(o.margin_left - 8),
+        r=_fmt(DOT_RADIUS),
+        tick_y=_fmt(o.height - MARGIN_BOTTOM + 16),
+        tick_x=_fmt(MARGIN_LEFT - 8),
         axis_close="\n".join(axis),
         color_rects=tuple(color_rects),
         hist_prefix=tuple(hist_prefix),
         hist_suffix=f'" height="{_fmt(cell_h)}" fill="#555555"/>',
-        hist_w_max=o.margin_right - 40 - bar_w - 24,
+        hist_w_max=MARGIN_RIGHT - 40 - bar_w - 24,
         sidebar_close="\n".join(sidebar_close),
         note_open=(
             f'<text x="{_fmt(o.width - 10)}" y="{_fmt(20.0)}" text-anchor="end" '
@@ -133,8 +136,8 @@ def _frame(o: RenderOptions, width_type: type, height_type: type) -> _Frame:
 def render_svg(layout: DlLayout, options: RenderOptions = RenderOptions()) -> bytes:
     o = options
     frame = _frame(o, type(o.width), type(o.height))
-    plot_w = o.width - o.margin_left - o.margin_right
-    plot_h = o.height - o.margin_top - o.margin_bottom
+    plot_w = o.width - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = o.height - MARGIN_TOP - MARGIN_BOTTOM
 
     xs, ys = layout.x, layout.y_jittered
     max_x = max(xs, default=0)
@@ -142,10 +145,10 @@ def render_svg(layout: DlLayout, options: RenderOptions = RenderOptions()) -> by
     span_x = max(max_x, 1)
 
     def sx(x: float) -> float:
-        return o.margin_left + x / span_x * plot_w
+        return MARGIN_LEFT + x / span_x * plot_w
 
     def sy(y: float) -> float:
-        return o.margin_top + (1.0 - y / max_y) * plot_h
+        return MARGIN_TOP + (1.0 - y / max_y) * plot_h
 
     parts = [frame.head]
 

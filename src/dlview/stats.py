@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import CorpusEntry, Region
 from .detect import FlagKind, FlagRecord
@@ -23,10 +22,6 @@ class FlagSummary:
     counts: dict[FlagKind, dict[Region, int]]  # distinct flagged trees
     total_flagged_trees: int
     corpus_size: int
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.total_flagged_trees, self.corpus_size)
 
     @property
     def percentage(self) -> str:

@@ -2,9 +2,11 @@
 
 Clean trees branch with a level-decaying probability and thin monotonically
 toward the leaves, so the default detectors stay silent on them by
-construction.  Anomalies are injected with a 5x-epsilon margin so that the
-injected locus is unambiguous, and each injection reports the ground-truth
-node for recall/precision checks.
+construction.  Only the branching, `GenParams` (p0, decay), varies between
+corpora; the thinning (T0, SHRINK_LO/SHRINK_HI, NOISE, THIN_FLOOR and the
+DEEP_CAP_LEVEL/DEEP_CAP_MM cap) is fixed.  Anomalies are injected with a
+5x-epsilon margin so that the injected locus is unambiguous, and each
+injection reports the ground-truth node for recall/precision checks.
 """
 
 from __future__ import annotations
@@ -21,22 +23,20 @@ from .detect import DetectorConfig, FlagKind
 class GenParams:
     p0: float = 0.95           # branching probability at the root level
     decay: float = 0.05        # linear decay of branching probability per level
-    t0: float = 3.8            # root trunk thickness, mm
-    shrink_lo: float = 0.80
-    shrink_hi: float = 0.95
-    noise: float = 0.1         # downward additive noise, kept < epsilon/2
-    thin_floor: float = 0.05   # thickness never drops below this, mm
-    deep_cap_level: int = 2    # from this level thickness is capped ...
-    deep_cap_mm: float = 2.9   # ... below the starting-point threshold
 
     def __post_init__(self):
         # p0 may exceed 1; the per-level probability is clamped into [0, 1]
         if self.p0 < 0.0 or self.decay < 0:
             raise ValueError("branching parameters out of range")
-        if not (0.0 < self.shrink_lo <= self.shrink_hi < 1.0):
-            raise ValueError("shrink range must sit inside (0, 1)")
-        if self.t0 <= 0 or self.noise < 0:
-            raise ValueError("t0 must be positive, noise non-negative")
+
+
+T0 = 3.8             # root trunk thickness, mm
+SHRINK_LO = 0.80
+SHRINK_HI = 0.95
+NOISE = 0.1          # downward additive noise, kept < epsilon/2
+THIN_FLOOR = 0.05    # thickness never drops below this, mm
+DEEP_CAP_LEVEL = 2   # from this level thickness is capped ...
+DEEP_CAP_MM = 2.9    # ... below the starting-point threshold
 
 
 # generate_tree gives up past this many nodes.  With decay=0 the branching
@@ -56,11 +56,11 @@ def generate_tree(params: GenParams, seed: int, subject_id: str = "synth",
     # (parent position, level, thickness).  The rng draws in preorder: a node's
     # branch decision, the left child's thickness, the left subtree, then the
     # right child's thickness, which is None until the right child is popped.
-    stack = [(-1, 0, params.t0)]
+    stack = [(-1, 0, T0)]
     while stack:
         p, level, t = stack.pop()
         if t is None:
-            t = _child_thickness(rng, params, thickness[p], level)
+            t = _child_thickness(rng, thickness[p], level)
         i = len(thickness)
         if i == MAX_TREE_NODES:
             raise ValueError(f"tree passed {MAX_TREE_NODES} nodes: p0={params.p0} and "
@@ -69,17 +69,17 @@ def generate_tree(params: GenParams, seed: int, subject_id: str = "synth",
         parent.append(p)
         if rng.random() < _branch_p(params, level):
             stack.append((i, level + 1, None))
-            stack.append((i, level + 1, _child_thickness(rng, params, t, level + 1)))
+            stack.append((i, level + 1, _child_thickness(rng, t, level + 1)))
     ids = [f"n{k}" for k in range(1, len(thickness) + 1)]
     return BinaryTree(subject_id, region, ids=ids, thickness=thickness,
                       size=subtree_sizes(parent))
 
 
-def _child_thickness(rng, params: GenParams, parent_t: float, level: int) -> float:
-    s = rng.uniform(params.shrink_lo, params.shrink_hi)
-    t = max(parent_t * s - rng.uniform(0.0, params.noise), params.thin_floor)
-    if level >= params.deep_cap_level:
-        t = min(t, params.deep_cap_mm)
+def _child_thickness(rng, parent_t: float, level: int) -> float:
+    s = rng.uniform(SHRINK_LO, SHRINK_HI)
+    t = max(parent_t * s - rng.uniform(0.0, NOISE), THIN_FLOOR)
+    if level >= DEEP_CAP_LEVEL:
+        t = min(t, DEEP_CAP_MM)
     return t
 
 

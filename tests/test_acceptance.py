@@ -11,12 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from dlview.core import BinaryNode, BinaryTree, CorpusEntry, Region, descendant_count
+from dlview.core import BinaryNode, BinaryTree, CorpusEntry, Region
 from dlview.detect import FlagKind, scan_tree
 from dlview.edit import apply_script, delete_leaf, delete_subtree, trim_root
 from dlview.extract import extract_binary_tree
 from dlview.ingest import parse_dltree, parse_vess, serialize_dltree, serialize_vess
-from dlview.layout import build_layout, color_bin, y_coordinate
+from dlview.layout import build_layout, color_bin
 from dlview.render import render_svg
 from dlview.stats import (
     region_age_analysis,
@@ -91,7 +91,7 @@ def test_acceptance_02_extraction_oracle():
         node_count, leaf_count, desc = raw_graph_trunk_counts(g)
         ok = ok and t.node_count == node_count
         ok = ok and sum(1 for n in t.nodes() if n.is_leaf) == leaf_count
-        ok = ok and all(descendant_count(t, h) == d for h, d in desc.items())
+        ok = ok and all(t.size[t.position(h)] - 1 == d for h, d in desc.items())
         if not ok:
             break
     _verdict(2, "extraction vs brute-force walker", ok, "500 graphs")
@@ -100,8 +100,11 @@ def test_acceptance_02_extraction_oracle():
 def test_acceptance_03_layout_formulas():
     bins = {0.0: 0, 0.04: 1, 2.0: 50, 3.9999: 99, 4.0: 99, 5.2: 99}
     ok = all(color_bin(t) == b for t, b in bins.items())
-    ok = ok and y_coordinate(7) == 3.0
-    ok = ok and abs(y_coordinate(4) - math.log2(5)) <= 1e-12
+    chain = BinaryTree("s", Region.BACK, ids=tuple(f"c{i}" for i in range(8)),
+                       thickness=(1.0,) * 8, size=tuple(range(8, 0, -1)))
+    y = build_layout(chain).y  # node i has 7 - i descendants
+    ok = ok and y[0] == 3.0
+    ok = ok and abs(y[3] - math.log2(5)) <= 1e-12
     _verdict(3, "layout formula table", ok)
 
 

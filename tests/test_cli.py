@@ -445,6 +445,32 @@ def test_bad_script_region_names_script_and_line(tmp_path, capsys, small_corpus)
     assert f"{script}: line 2: unknown region code 'Q'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("brk", ["\f", "\x85", "\u2028"], ids=["ff", "nel", "ls"])
+@pytest.mark.parametrize("reader, text, problem", [
+    ("script", "# repairs{brk}# more\ns000 Q DELETE_LEAF n3\n",
+     "{path}: line 2: unknown region code 'Q'"),
+    ("config", "# detector settings{brk}startpoint_min_chain = 3\nepsilon = 0.01\n",
+     "{path}:2: unknown key 'epsilon'"),
+    ("covariates", "subject\tage{brk}s000\t30.0\ns001 40.0\n",
+     "{path}:2: bad covariate line 's001 40.0'"),
+    ("flags", "subject\tregion\tkind\tnode\tseverity{brk}s001\tL\tVein\tn2\t0.5000\n"
+     "s000\tQ\tVein\tn3\t0.5000\n", "{path}: line 2: unknown region code 'Q'"),
+], ids=["script", "config", "covariates", "flags"])
+def test_text_readers_number_lines_at_line_ends_only(tmp_path, capsys, small_corpus,
+                                                     reader, text, problem, brk):
+    # a Unicode break inside file line 1 ends a record but not the line
+    path = tmp_path / f"{reader}.txt"
+    path.write_bytes(text.format(brk=brk).encode("utf-8"))
+    out = tmp_path / "out"
+    argv = {"script": ("apply-edits", "--script", path, "--out-dir", out),
+            "config": ("scan", "--config", path, "--report", out / "r.tsv"),
+            "covariates": ("stats", "--covariates", path, "--out", out / "t.tsv"),
+            "flags": ("stats", "--covariates", small_corpus / "ages.tsv",
+                      "--out", out / "t.tsv", "--flags", path)}[reader]
+    assert run(argv[0], str(small_corpus), *map(str, argv[1:])) == EXIT_DATA_ERROR
+    assert problem.format(path=path) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, bad", [
     ("scan", "tree"), ("render", "tree"), ("apply-edits", "tree"), ("stats", "tree"),
     ("apply-edits", "script"), ("stats", "covariates"), ("scan", "config"),

@@ -9,8 +9,6 @@ from dlview.core import (
     UnknownNodeError,
     VesselPoint,
     VesselSegment,
-    descendant_count,
-    node_level,
 )
 
 from conftest import brute_descendants, random_binary_tree
@@ -31,34 +29,32 @@ def complete7():
 
 def test_leaf_has_no_descendants():
     t = complete7()
-    assert descendant_count(t, "l0") == 0
+    assert t.size[t.position("l0")] - 1 == 0
 
 
 def test_complete_tree_root_descendants():
     t = complete7()
-    assert descendant_count(t, "r") == 6
-    assert descendant_count(t, "m1") == 2
+    assert t.size[t.position("r")] - 1 == 6
+    assert t.size[t.position("m1")] - 1 == 2
 
 
 def test_chain_descendants_and_levels():
     t = chain(5)
-    assert descendant_count(t, "c1") == 4
-    assert node_level(t, "c1") == 0
-    assert node_level(t, "c5") == 4
+    assert t.size[t.position("c1")] - 1 == 4
+    assert t.level[t.position("c1")] == 0
+    assert t.level[t.position("c5")] == 4
 
 
 def test_root_and_child_levels():
     t = complete7()
-    assert node_level(t, "r") == 0
-    assert node_level(t, "m0") == 1
+    assert t.level[t.position("r")] == 0
+    assert t.level[t.position("m0")] == 1
 
 
 def test_unknown_node_raises():
     t = complete7()
     with pytest.raises(UnknownNodeError):
-        descendant_count(t, "nope")
-    with pytest.raises(UnknownNodeError):
-        node_level(t, "nope")
+        t.position("nope")
 
 
 def test_vessel_point_validation():
@@ -105,7 +101,7 @@ def test_descendant_count_matches_brute_force_on_random_trees():
     for _ in range(300):
         t = random_binary_tree(rng, max_nodes=80)
         for node in t.nodes():
-            assert descendant_count(t, node.node_id) == brute_descendants(node)
+            assert t.size[t.position(node.node_id)] - 1 == brute_descendants(node)
 
 
 def test_descendant_recurrence_and_level_bound():
@@ -114,11 +110,11 @@ def test_descendant_recurrence_and_level_bound():
         t = random_binary_tree(rng, max_nodes=60)
         for node in t.nodes():
             kids = node.children
-            assert descendant_count(t, node.node_id) == (
-                sum(descendant_count(t, c.node_id) for c in kids) + len(kids)
+            assert t.size[t.position(node.node_id)] - 1 == (
+                sum(t.size[t.position(c.node_id)] - 1 for c in kids) + len(kids)
             )
         assert sum(1 for _ in t.nodes()) == t.node_count
-        assert max(node_level(t, n.node_id) for n in t.nodes()) < t.node_count
+        assert max(t.level[t.position(n.node_id)] for n in t.nodes()) < t.node_count
 
 
 def test_repr_eq_hash_of_a_deep_chain():

@@ -123,6 +123,19 @@ def test_starting_point_follows_heavy_child():
     assert detect_starting_point(t) == []
 
 
+def test_thicknesses_near_the_float_maximum_scan_without_overflow():
+    big, top = 1e308, 1.7976931348623157e308
+    # a root chain whose excesses sum past the float maximum
+    flags = detect_starting_point(tree(BinaryNode("a", top, BinaryNode(
+        "b", top, BinaryNode("c", top, BinaryNode("d", top))))))
+    assert [(f.node_id, f.severity) for f in flags] == [("a", math.inf)]
+    # c's subtree median is big, its parent's thickness; its two middle
+    # values sum past the float maximum
+    c = BinaryNode("c", big, BinaryNode("d", big, BinaryNode("e", big, BinaryNode("f", top))))
+    t = tree(BinaryNode("r", big, BinaryNode("p", big, c), BinaryNode("x", 1.0)))
+    assert detect_misconnection(t) == []
+
+
 def test_vein_basic():
     t = tree(BinaryNode("r", 2.0, BinaryNode("p", 1.0, BinaryNode("v", 3.5),
                                              BinaryNode("q", 0.9))))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dlview.core import BinaryNode, BinaryTree, Region, node_level
+from dlview.core import BinaryNode, BinaryTree, Region
 from dlview.detect import FlagKind, scan_tree
 from dlview.edit import (
     DeleteLeaf,
@@ -94,7 +94,7 @@ def test_trim_root_identity_and_levels():
     out = trim_root(t, "a")
     assert out.root.node_id == "a"
     assert out.node_count == 3
-    assert node_level(out, "c") == node_level(t, "c") - 1
+    assert out.level[out.position("c")] == t.level[t.position("c")] - 1
     with pytest.raises(KeyError):
         trim_root(t, "zz")
 

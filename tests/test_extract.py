@@ -7,7 +7,6 @@ from dlview.core import (
     Region,
     VesselPoint,
     VesselSegment,
-    descendant_count,
 )
 from dlview.cli import main
 from dlview.extract import extract_binary_tree
@@ -162,7 +161,7 @@ def test_extraction_matches_raw_graph_walker():
         assert t.node_count == node_count
         assert sum(1 for n in t.nodes() if n.is_leaf) == leaf_count
         for head, expect in desc.items():
-            assert descendant_count(t, head) == expect
+            assert t.size[t.position(head)] - 1 == expect
 
 
 def test_extraction_is_deterministic():
@@ -195,7 +194,7 @@ def test_deep_nested_splits_extract_without_recursion(tmp_path):
     t = extract_binary_tree(g)
     trunks = depth + depth + 1  # one per split, one leaf per split, the last leaf
     assert t.node_count == trunks
-    assert descendant_count(t, "a0") == trunks - 1
+    assert t.size[t.position("a0")] - 1 == trunks - 1
     # the CLI also writes the tree out
     vess = tmp_path / "deep.vess"
     vess.write_bytes(serialize_vess(g))

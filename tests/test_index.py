@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dlview.core import BinaryNode, BinaryTree, Region, descendant_count, node_level
+from dlview.core import BinaryNode, BinaryTree, Region
 from dlview.detect import (
     DetectorConfig,
     FlagKind,
@@ -26,13 +26,20 @@ from dlview.layout import (
     THICKNESS_RANGE_MM,
     DlLayout,
     DlNodePlacement,
-    LayoutConfig,
     build_layout,
     color_bin,
     jitter_offset,
-    y_coordinate,
 )
-from dlview.render import RenderOptions, _fmt, render_svg
+from dlview.render import (
+    DOT_RADIUS,
+    MARGIN_BOTTOM,
+    MARGIN_LEFT,
+    MARGIN_RIGHT,
+    MARGIN_TOP,
+    RenderOptions,
+    _fmt,
+    render_svg,
+)
 
 from conftest import brute_descendants
 
@@ -114,11 +121,11 @@ def brute_misconnection(tree, epsilon=0.3, min_subtree=3):
     return flags
 
 
-def brute_layout(tree, config=LayoutConfig()):
+def brute_layout(tree, salt=""):
     placements, edges = [], []
 
     def walk(node, level):
-        y = y_coordinate(brute_descendants(node))
+        y = math.log2(brute_descendants(node) + 1)
         cb = None if node.thickness is None else color_bin(node.thickness)
         placements.append(DlNodePlacement(node.node_id, level, y, y, cb))
         for c in node.children:
@@ -126,15 +133,14 @@ def brute_layout(tree, config=LayoutConfig()):
             walk(c, level + 1)
 
     walk(tree.root, 0)
-    return [apply_jitter(p, tree, config) for p in placements], edges
+    return [apply_jitter(p, tree, salt) for p in placements], edges
 
 
-def apply_jitter(p, tree, config):
-    """The placement displaced by jitter_offset when it sits below the threshold."""
-    if p.y >= config.low_y_threshold:
+def apply_jitter(p, tree, salt):
+    """The placement displaced by jitter_offset when it sits below y = 3."""
+    if p.y >= 3.0:
         return p
-    dy = jitter_offset(tree.subject_id, tree.region.value, p.node_id,
-                       config.jitter_amplitude, config.jitter_salt)
+    dy = jitter_offset(tree.subject_id, tree.region.value, p.node_id, 0.15, salt)
     return DlNodePlacement(p.node_id, p.x, p.y, p.y + dy, p.color_bin)
 
 
@@ -143,12 +149,13 @@ def apply_jitter(p, tree, config):
 def test_descendant_count_and_level_match_brute_force(tree):
     levels = brute_levels(tree.root)
     for node in tree.nodes():
-        assert descendant_count(tree, node.node_id) == brute_descendants(node)
-        assert node_level(tree, node.node_id) == levels[node.node_id]
-        parent = tree.parent_id(node.node_id)
-        assert (parent is None) == (node is tree.root)
-        if parent is not None:
-            assert any(c is node for c in tree.node(parent).children)
+        i = tree.position(node.node_id)
+        assert tree.size[i] - 1 == brute_descendants(node)
+        assert tree.level[i] == levels[node.node_id]
+        parent = tree.parent[i]
+        assert (parent < 0) == (node is tree.root)
+        if parent >= 0:
+            assert any(c is node for c in tree.node(tree.ids[parent]).children)
 
 
 def _chain(thickness, below=None, prefix="c"):
@@ -196,19 +203,14 @@ def test_misconnection_matches_brute_force_in_order(tree, epsilon, min_subtree):
         tree, epsilon, min_subtree)
 
 
-layout_configs = st.builds(
-    LayoutConfig,
-    jitter_amplitude=st.sampled_from([0.15, 0.4]),
-    low_y_threshold=st.sampled_from([3.0, 0.5, 12.0]),
-    jitter_salt=st.sampled_from(["", "alt", "sält|"]),
-)
+jitter_salts = st.sampled_from(["", "alt", "sält|"])
 
 
 @settings(max_examples=150, deadline=None)
-@given(trees, layout_configs)
-def test_layout_matches_brute_force(tree, config):
-    layout = build_layout(tree, config)
-    placements, edges = brute_layout(tree, config)
+@given(trees, jitter_salts)
+def test_layout_matches_brute_force(tree, salt):
+    layout = build_layout(tree, salt)
+    placements, edges = brute_layout(tree, salt)
     assert list(layout.placements) == placements
     assert list(layout.edges) == edges
     thick = [n.thickness for n in tree.nodes() if n.thickness is not None]
@@ -221,24 +223,23 @@ PHANTOM_OVER_CHAINS = BinaryTree("s", Region.BACK, BinaryNode(
 
 
 @settings(max_examples=150, deadline=None)
-@given(trees, layout_configs)
-@example(PHANTOM_OVER_CHAINS, LayoutConfig())
-def test_hand_made_layout_matches_build_layout(tree, config):
-    built = build_layout(tree, config)
+@given(trees, jitter_salts)
+@example(PHANTOM_OVER_CHAINS, "")
+def test_hand_made_layout_matches_build_layout(tree, salt):
+    built = build_layout(tree, salt)
     hand = DlLayout(built.subject_id, built.region_code, built.placements, built.edges,
                     built.histogram, built.thickness_min, built.thickness_max)
     for name in ("ids", "parent", "x", "y", "y_jittered", "color_bin"):
         assert getattr(hand, name) == getattr(built, name), name
     assert hand == built
-    for o in (RenderOptions(), RenderOptions(width=640.0, height=480, margin_left=33.5,
-                                             dot_radius=2.25, axis_labels=False)):
+    for o in (RenderOptions(), RenderOptions(width=640.0, height=480, axis_labels=False)):
         assert render_svg(hand, o) == render_svg(built, o)
 
 
 def reference_render_svg(layout, o=RenderOptions()):
     """The per-edge renderer: each segment and dot formats its own coordinates."""
-    plot_w = o.width - o.margin_left - o.margin_right
-    plot_h = o.height - o.margin_top - o.margin_bottom
+    plot_w = o.width - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = o.height - MARGIN_TOP - MARGIN_BOTTOM
 
     max_x = max((p.x for p in layout.placements), default=0)
     max_y = max((p.y_jittered for p in layout.placements), default=0.0)
@@ -246,10 +247,10 @@ def reference_render_svg(layout, o=RenderOptions()):
     span_x = max(max_x, 1)
 
     def sx(x):
-        return o.margin_left + x / span_x * plot_w
+        return MARGIN_LEFT + x / span_x * plot_w
 
     def sy(y):
-        return o.margin_top + (1.0 - y / max_y) * plot_h
+        return MARGIN_TOP + (1.0 - y / max_y) * plot_h
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -272,12 +273,12 @@ def reference_render_svg(layout, o=RenderOptions()):
         cx, cy = _fmt(sx(p.x)), _fmt(sy(p.y_jittered))
         if p.color_bin is None:
             parts.append(
-                f'<circle cx="{cx}" cy="{cy}" r="{_fmt(o.dot_radius)}" '
+                f'<circle cx="{cx}" cy="{cy}" r="{_fmt(DOT_RADIUS)}" '
                 'fill="none" stroke="#888888" stroke-width="1.5"/>'
             )
         else:
             parts.append(
-                f'<circle cx="{cx}" cy="{cy}" r="{_fmt(o.dot_radius)}" '
+                f'<circle cx="{cx}" cy="{cy}" r="{_fmt(DOT_RADIUS)}" '
                 f'fill="{COLOR_RAMP[p.color_bin]}"/>'
             )
     parts.append("</g>")
@@ -285,23 +286,23 @@ def reference_render_svg(layout, o=RenderOptions()):
     parts.append('<g font-family="sans-serif" font-size="11" fill="#333333">')
     for x in range(0, max_x + 1):
         parts.append(
-            f'<text x="{_fmt(sx(x))}" y="{_fmt(o.height - o.margin_bottom + 16)}" '
+            f'<text x="{_fmt(sx(x))}" y="{_fmt(o.height - MARGIN_BOTTOM + 16)}" '
             f'text-anchor="middle">{x}</text>'
         )
     for y in range(0, int(max_y) + 1):
         parts.append(
-            f'<text x="{_fmt(o.margin_left - 8)}" y="{_fmt(sy(y) + 4)}" '
+            f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(sy(y) + 4)}" '
             f'text-anchor="end">{y}</text>'
         )
     if o.axis_labels:
         parts.append(
-            f'<text x="{_fmt(o.margin_left + plot_w / 2)}" '
+            f'<text x="{_fmt(MARGIN_LEFT + plot_w / 2)}" '
             f'y="{_fmt(o.height - 12)}" text-anchor="middle">level</text>'
         )
         parts.append(
-            f'<text x="{_fmt(14.0)}" y="{_fmt(o.margin_top + plot_h / 2)}" '
+            f'<text x="{_fmt(14.0)}" y="{_fmt(MARGIN_TOP + plot_h / 2)}" '
             f'text-anchor="middle" transform="rotate(-90 14.00 '
-            f'{_fmt(o.margin_top + plot_h / 2)})">log2(descendants + 1)</text>'
+            f'{_fmt(MARGIN_TOP + plot_h / 2)})">log2(descendants + 1)</text>'
         )
     parts.append("</g>")
 
@@ -321,17 +322,17 @@ def reference_render_svg(layout, o=RenderOptions()):
 
 def reference_sidebar(layout, o, plot_h):
     """The sidebar formatted from scratch on every call: color bar, count bars, mm ticks."""
-    bar_x = o.width - o.margin_right + 40
+    bar_x = o.width - MARGIN_RIGHT + 40
     bar_w = 18.0
     hist_x = bar_x + bar_w + 4
-    hist_w_max = o.margin_right - 40 - bar_w - 24
+    hist_w_max = MARGIN_RIGHT - 40 - bar_w - 24
     cell_h = plot_h / BIN_COUNT
     max_count = max(layout.histogram) if any(layout.histogram) else 1
 
     parts = ['<g stroke="none">']
     for i in range(BIN_COUNT):
         # bin 0 at the bottom
-        y = o.margin_top + (BIN_COUNT - 1 - i) * cell_h
+        y = MARGIN_TOP + (BIN_COUNT - 1 - i) * cell_h
         parts.append(
             f'<rect x="{_fmt(bar_x)}" y="{_fmt(y)}" width="{_fmt(bar_w)}" '
             f'height="{_fmt(cell_h)}" fill="{COLOR_RAMP[i]}"/>'
@@ -346,7 +347,7 @@ def reference_sidebar(layout, o, plot_h):
     parts.append('</g>')
     parts.append('<g font-family="sans-serif" font-size="10" fill="#333333">')
     for mm in range(0, int(THICKNESS_RANGE_MM) + 1):
-        y = o.margin_top + plot_h * (1 - mm / THICKNESS_RANGE_MM)
+        y = MARGIN_TOP + plot_h * (1 - mm / THICKNESS_RANGE_MM)
         parts.append(
             f'<text x="{_fmt(bar_x - 4)}" y="{_fmt(y + 3)}" '
             f'text-anchor="end">{mm}</text>'
@@ -369,19 +370,14 @@ render_options = st.one_of(st.just(RenderOptions()), st.builds(
     RenderOptions,
     width=st.integers(50, 1500),
     height=st.integers(50, 1200),
-    dot_radius=st.floats(0.1, 9.0),
-    margin_left=st.floats(0.0, 120.0),
-    margin_right=st.floats(0.0, 300.0),
-    margin_top=st.floats(0.0, 90.0),
-    margin_bottom=st.floats(0.0, 90.0),
     axis_labels=st.booleans(),
 ))
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(trees, chains()), layout_configs, render_options)
-def test_render_matches_per_edge_reference(tree, config, options):
-    layout = build_layout(tree, config)
+@given(st.one_of(trees, chains()), jitter_salts, render_options)
+def test_render_matches_per_edge_reference(tree, salt, options):
+    layout = build_layout(tree, salt)
     assert render_svg(layout, options) == reference_render_svg(layout, options)
 
 
@@ -395,11 +391,8 @@ def test_render_interleaved_options_match_reference():
                           (4.1, 2.2, 2.2, 0.9, 0.3, 3.3), (6, 5, 4, 2, 1, 1)))
     c = build_layout(tree(("c0",), (2.5,), (1,)))
     assert a.histogram != b.histogram
-    x = RenderOptions(width=640, height=480, dot_radius=2.0, margin_left=40.0,
-                      margin_right=180.0, margin_top=30.0, margin_bottom=70.0,
-                      axis_labels=False)
-    y = RenderOptions(width=640, height=480, dot_radius=5.5, margin_left=75.0,
-                      margin_right=250.0, margin_top=60.0, margin_bottom=35.0)
+    x = RenderOptions(width=800, height=600, axis_labels=False)
+    y = RenderOptions(width=640, height=480)
     z = RenderOptions(width=640, height=480, axis_labels=False)
     # equal to z, but the header prints the widths as floats
     zf = RenderOptions(width=640.0, height=480.0, axis_labels=False)

@@ -1,11 +1,15 @@
 import random
 import re
+import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dlview.core import BinaryTree, Region
+from dlview.detect import flags_from_tsv, flags_to_tsv, scan_tree
+from dlview.edit import apply_script, parse_script
 from dlview.ingest import (
     BadRadiusError,
     CycleError,
@@ -26,6 +30,8 @@ from dlview.ingest import (
     serialize_dltree,
     serialize_vess,
 )
+from dlview.layout import build_layout
+from dlview.render import render_svg
 
 from conftest import random_binary_tree, random_vess_graph
 
@@ -286,18 +292,23 @@ def test_vess_numbers_past_float_range_name_their_line():
         assert exc.value.line == 3 and "non-finite coordinate/radius" in str(exc.value)
 
 
+def _sizes(draw):
+    """Preorder subtree sizes of a random tree: bushy, a unary chain or a comb."""
+    n = draw(st.integers(1, 24))
+    shape = draw(st.sampled_from(("bushy", "chain", "comb")))
+    if shape == "bushy":
+        return random_binary_tree(random.Random(draw(st.integers(0, 10**6))), n).size
+    if shape == "chain":
+        return tuple(range(n, 0, -1))
+    # each node holds a leaf on the left and the rest of the comb on the right
+    return tuple(1 if i % 2 else n - i for i in range(n))
+
+
 @st.composite
 def tree_bodies(draw):
     """The .dltree body of a random tree: bushy, a unary chain or a comb, with
     ids that may use every id character and, sometimes, a phantom root."""
-    n = draw(st.integers(1, 24))
-    shape = draw(st.sampled_from(("bushy", "chain", "comb")))
-    if shape == "bushy":
-        size = random_binary_tree(random.Random(draw(st.integers(0, 10**6))), n).size
-    elif shape == "chain":
-        size = tuple(range(n, 0, -1))
-    else:  # each node holds a leaf on the left and the rest of the comb on the right
-        size = tuple(1 if i % 2 else n - i for i in range(n))
+    size = _sizes(draw)
     mark = draw(st.text(".+~-aZ9", max_size=3))
     ids = [f"{i}{mark}" for i in range(len(size))]
     thickness = draw(st.lists(st.sampled_from((0.0, 5e-5, 1.25, 1e300)) | st.floats(0, 10),
@@ -512,3 +523,100 @@ def test_column_read_takes_a_file_in_another_order():
         text = "\n".join(interleaved) + "\n"
         graph = _read_vess(text)
         assert graph is not None and graph == _walk_vess(text)
+
+
+# ids at the id grammar's edges; and a prefix or suffix outside the grammar,
+# which the parser would reject or read back as another id
+_EDGE_AFFIXES = (("", "a" * 200, "Z"), ("", ".+~-", "9" * 40, "--.."))
+_BAD_AFFIXES = (("_", "é", " ", "#"), (":", ",(b:1", ")", " x", "\ty", "\n#z", "\u2028w"))
+# zero, below the format's 4 decimals, 1e300 and the float maximum
+_EXTREME_THICKNESS = (0.0, 5e-5, 1.25, 1e300, sys.float_info.max)
+_PAST_FLOAT_RANGE = ("9" * 400, "1" + "0" * 309)
+
+
+def _one_in_four(draw):
+    return draw(st.integers(0, 3)) == 0
+
+
+@st.composite
+def extreme_trees(draw):
+    """(tree, whether one of its ids is outside the id grammar, and None or
+    (k, digits): the text writes the k-th thickness as that digit run)."""
+    size = _sizes(draw)
+    prefixes, suffixes = _EDGE_AFFIXES
+    ids = [f"{draw(st.sampled_from(prefixes))}{i}{draw(st.sampled_from(suffixes))}"
+           for i in range(len(size))]
+    bad_id = _one_in_four(draw)
+    if bad_id:
+        k = draw(st.integers(0, len(size) - 1))
+        prefixes, suffixes = _BAD_AFFIXES
+        ids[k] = draw(st.sampled_from(prefixes)) + ids[k] if draw(st.booleans()) else (
+            ids[k] + draw(st.sampled_from(suffixes)))
+    thickness = draw(st.lists(st.sampled_from(_EXTREME_THICKNESS), min_size=len(size),
+                              max_size=len(size)))
+    if size[0] > 1 and size[1] < size[0] - 1 and _one_in_four(draw):
+        thickness[0] = None  # a phantom root
+    past = None
+    if _one_in_four(draw):
+        past = (draw(st.integers(0, len(size) - 1 - (thickness[0] is None))),
+                draw(st.sampled_from(_PAST_FLOAT_RANGE)))
+    return BinaryTree("s", Region.BACK, ids=ids, thickness=thickness, size=size), bad_id, past
+
+
+def _rounded(tree):
+    """The tree with each thickness read back from its 4-decimal form."""
+    return BinaryTree(tree.subject_id, tree.region, ids=tree.ids, size=tree.size,
+                      thickness=[None if t is None else float(f"{t:.4f}")
+                                 for t in tree.thickness])
+
+
+@settings(max_examples=200, deadline=None)
+@given(extreme_trees(), st.data())
+def test_every_tree_the_parser_accepts_passes_every_stage(case, data):
+    """serialize -> parse -> scan, layout, render, apply-edits -> serialize -> parse.
+
+    serialize_dltree refuses an id the parser cannot read back, and the
+    parser rejects a thickness past float range at its line and column;
+    anything else passes every stage, and its output reads back as the
+    tree it wrote."""
+    tree, bad_id, past = case
+    if bad_id:
+        with pytest.raises(ValueError, match="outside the .dltree id grammar"):
+            serialize_dltree(tree)
+        return
+    text = serialize_dltree(tree).decode()
+    if past:
+        k, digits = past
+        numbers = iter(range(tree.node_count))
+        text = re.sub(r":[0-9.]+", lambda m: f":{digits}" if next(numbers) == k else m[0], text)
+    try:
+        first = parse_dltree(text)
+    except ParseError as e:
+        assert past and e.line == 2 and text.split("\n")[1][e.col - 1].isdigit()
+        return
+    assert not past
+    assert first == _rounded(tree)
+    assert serialize_dltree(first).decode() == text
+
+    flags = scan_tree(first)
+    assert [(f.kind, f.node_id) for f in flags_from_tsv(flags_to_tsv(flags))] == [
+        (f.kind, f.node_id) for f in flags]
+    svg = render_svg(build_layout(first))
+    assert len(ET.fromstring(svg).findall(".//{http://www.w3.org/2000/svg}circle")) == (
+        first.node_count)
+
+    leaves = [i for i in range(1, first.node_count) if first.size[i] == 1]
+    ops = [("TRIM_ROOT", range(first.node_count))]
+    if first.node_count > 1:
+        ops.append(("DELETE_SUBTREE", range(1, first.node_count)))
+    if leaves:
+        ops.append(("DELETE_LEAF", leaves))
+    verb, targets = data.draw(st.sampled_from(ops))
+    target = first.ids[data.draw(st.sampled_from(targets))]
+    script = parse_script(f"s B {verb} {target}\n")
+    edited = apply_script({("s", "B"): first}, script)[("s", "B")]
+    out = serialize_dltree(edited)
+    final = parse_dltree(out)
+    assert final == _rounded(edited) and serialize_dltree(final) == out
+    if verb == "TRIM_ROOT" and target == first.ids[0]:
+        assert final == first

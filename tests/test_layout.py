@@ -9,22 +9,22 @@ from dlview.layout import (
     COLOR_RAMP,
     DlLayout,
     DlNodePlacement,
-    LayoutConfig,
     build_layout,
     color_bin,
     jitter_offset,
-    y_coordinate,
 )
 
 from conftest import random_binary_tree
 
 
 def test_y_coordinate_values():
-    assert y_coordinate(0) == 0.0
-    assert y_coordinate(7) == 3.0
-    assert y_coordinate(4) == pytest.approx(2.321928094887362)
-    with pytest.raises(ValueError):
-        y_coordinate(-1)
+    # an 8-node chain: node i has 7 - i descendants
+    t = BinaryTree("s", Region.BACK, ids=tuple(f"c{i}" for i in range(8)),
+                   thickness=(1.0,) * 8, size=tuple(range(8, 0, -1)))
+    y = build_layout(t).y
+    assert y[7] == 0.0
+    assert y[0] == 3.0
+    assert y[3] == pytest.approx(2.321928094887362)
 
 
 def test_color_bin_values():
@@ -68,7 +68,7 @@ def test_jitter_applied_only_below_threshold():
     node = None
     for i in reversed(range(9)):
         node = BinaryNode(f"n{i}", 1.0, node)
-    lay = build_layout(BinaryTree("s", Region.BACK, node), LayoutConfig(jitter_salt="x"))
+    lay = build_layout(BinaryTree("s", Region.BACK, node), jitter_salt="x")
     high, low = lay.placements[0], lay.placements[1]
     assert high.y > 3.0 and high.y_jittered == high.y
     assert low.y == 3.0 and low.y_jittered == low.y  # the threshold itself is not jittered
@@ -137,8 +137,8 @@ def test_layout_invariants_on_random_trees():
 
 def test_layout_config_salt_changes_jitter():
     t = random_binary_tree(random.Random(1), max_nodes=20)
-    a = build_layout(t, LayoutConfig(jitter_salt=""))
-    b = build_layout(t, LayoutConfig(jitter_salt="alt"))
+    a = build_layout(t, jitter_salt="")
+    b = build_layout(t, jitter_salt="alt")
     assert any(pa.y_jittered != pb.y_jittered
                for pa, pb in zip(a.placements, b.placements)
                if pa.y < 3.0)

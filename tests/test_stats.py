@@ -71,7 +71,7 @@ def test_summary_table_counts():
     assert summary.kind_total(FlagKind.VEIN) == 66
     assert summary.total_flagged_trees == 98
     assert summary.percentage == "23.3%"
-    assert float(summary.fraction) == pytest.approx(98 / 420)
+    assert (summary.total_flagged_trees, summary.corpus_size) == (98, 420)
 
 
 def test_summary_counts_distinct_trees_not_records():

@@ -44,11 +44,7 @@ def test_params_validation():
     with pytest.raises(ValueError):
         GenParams(p0=-0.1)
     with pytest.raises(ValueError):
-        GenParams(shrink_lo=0.9, shrink_hi=0.8)
-    with pytest.raises(ValueError):
-        GenParams(shrink_hi=1.0)
-    with pytest.raises(ValueError):
-        GenParams(t0=0.0)
+        GenParams(decay=-0.1)
     GenParams(p0=1.5)  # supercritical early levels are allowed
 
 
