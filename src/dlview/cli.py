@@ -2,8 +2,8 @@
 
 Corpus convention: one `.dltree` per component tree, named
 `<subject>_<region>.dltree`.  All outputs are UTF-8 with LF line endings
-and written atomically (temp file + rename).  Exit codes: 0 ok, 1 data
-error, 2 usage error, 3 scan found flags.
+and written atomically (temp file + rename), with the mode a plain open()
+gives.  Exit codes: 0 ok, 1 data error, 2 usage error, 3 scan found flags.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import math
 import os
 import random
 import sys
-import tempfile
 from dataclasses import fields, replace
+from itertools import count
 from pathlib import Path
 
 from . import detect, edit, ingest, stats, synth
@@ -37,7 +37,15 @@ class DataError(Exception):
 
 def _write_atomic(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
+    # a new file with the mode a plain open() gives, 0o666 less the umask
+    # (mkstemp's is 0o600); O_EXCL never follows a planted link
+    for k in count():
+        tmp = path.parent / f".tmp-{os.getpid()}-{k}{path.suffix}"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # another writer's, or left by an earlier process
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -97,6 +97,9 @@ class NegativeThicknessError(ParseError):
 
 
 _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9.+~-]*")
+# A subject names output files (<subject>_<region>.dltree) and starts each
+# edit-script line, so it holds no '/' and starts with no '.' or '#'.
+_SUBJECT_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._+~-]*")
 _NUM_RE = re.compile(r"-?\d+(?:\.\d+)?")
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")  # the breaks that number lines
 _OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # splitlines' other breaks
@@ -182,7 +185,8 @@ def _read_vess(text: str) -> Optional[RawVesselGraph]:
             group = list(group)
             lengths = set(map(len, group))
             if kind == "HEADER":
-                if header is not None or len(group) != 1 or lengths != {3}:
+                if (header is not None or len(group) != 1 or lengths != {3}
+                        or not _SUBJECT_RE.fullmatch(group[0][1])):
                     return None
                 header = group[0]
             elif kind == "POINT":
@@ -275,6 +279,8 @@ def _walk_vess(text: Union[str, bytes]) -> RawVesselGraph:
             if len(toks) != 3:
                 raise SyntaxParseError("HEADER needs <subject_id> <region>", lineno)
             subject_id = toks[1]
+            if not _SUBJECT_RE.fullmatch(subject_id):
+                raise SyntaxParseError(_bad_subject(subject_id), lineno)
             try:
                 region = Region.from_code(toks[2])
             except ValueError as e:
@@ -370,8 +376,16 @@ def _find_root(up: dict[str, str], sid: str) -> str:
     return sid
 
 
+def _bad_subject(subject_id: str) -> str:
+    return f"bad subject id {subject_id!r} (expected {_SUBJECT_RE.pattern})"
+
+
 def serialize_vess(graph: RawVesselGraph) -> bytes:
-    """Canonical form: records sorted by id, point ids assigned sequentially."""
+    """Canonical form: records sorted by id, point ids assigned sequentially.
+
+    A subject outside the subject grammar raises ValueError."""
+    if not _SUBJECT_RE.fullmatch(graph.subject_id):
+        raise ValueError(_bad_subject(graph.subject_id))
     point_lines: list[str] = []
     seg_lines = []
     for sid in sorted(graph.segments, key=_id_sort_key):
@@ -410,6 +424,8 @@ def parse_dltree(text: Union[str, bytes]) -> BinaryTree:
     try:
         if len(toks) != 3 or toks[0] != "HEADER":
             raise ValueError("first non-comment line must be HEADER <subject_id> <region>")
+        if not _SUBJECT_RE.fullmatch(toks[1]):
+            raise ValueError(_bad_subject(toks[1]))
         region = Region.from_code(toks[2])
     except ValueError as e:
         raise SyntaxParseError(str(e), hline, hoff + hraw.index(header) + 1)
@@ -548,7 +564,9 @@ def serialize_dltree(tree: BinaryTree) -> bytes:
     """Canonical form: left child first, thickness with exactly 4 decimals.
 
     A node id outside the id grammar, which would not read back as itself,
-    raises ValueError."""
+    or a subject outside the subject grammar raises ValueError."""
+    if not _SUBJECT_RE.fullmatch(tree.subject_id):
+        raise ValueError(_bad_subject(tree.subject_id))
     bad = next(filterfalse(_ID_RE.fullmatch, tree.ids), None)
     if bad is not None:
         raise ValueError(f"node id {bad!r} is outside the .dltree id grammar")

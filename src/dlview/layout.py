@@ -35,6 +35,7 @@ LOW_Y_THRESHOLD = 3.0
 
 
 def color_bin(thickness: float) -> int:
+    """The spec of a thickness's color bin; build_layout bins a whole column."""
     if thickness < 0:
         raise ValueError(f"negative thickness {thickness}")
     # clamped before the float becomes an int, since a thickness past about
@@ -150,7 +151,14 @@ def build_layout(tree: BinaryTree, jitter_salt: str = "") -> DlLayout:
             u = int.from_bytes(h.digest()[:8], "big") / 2**64
             y_jittered[i] = v + (2.0 * u - 1.0) * JITTER_AMPLITUDE
     present = [t for t in tree.thickness if t is not None]
-    bins = list(map(color_bin, present))
+    lo = min(present, default=None)
+    if lo is not None and lo < 0:
+        raise ValueError(f"negative thickness {lo}")
+    # color_bin for the whole column: t / THICKNESS_RANGE_MM is exact, a power
+    # of two, so t * scale rounds to the same float; the min runs only where
+    # it can bite, at the top bin and on NaN
+    scale, top = BIN_COUNT / THICKNESS_RANGE_MM, BIN_COUNT - 1
+    bins = [int(v) if v < top else int(min(v, top)) for v in map(scale.__mul__, present)]
     histogram = [0] * BIN_COUNT
     for cb in bins:
         histogram[cb] += 1
@@ -160,7 +168,7 @@ def build_layout(tree: BinaryTree, jitter_salt: str = "") -> DlLayout:
         subject_id=tree.subject_id,
         region_code=tree.region.value,
         histogram=tuple(histogram),
-        thickness_min=min(present, default=None),
+        thickness_min=lo,
         thickness_max=max(present, default=None),
         ids=ids,
         parent=tuple(tree.parent),

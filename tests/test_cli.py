@@ -1,6 +1,8 @@
 import hashlib
+import os
 import random
 import shutil
+import stat
 import tempfile
 from pathlib import Path
 
@@ -509,6 +511,58 @@ def test_apply_edits_merge_of_huge_thicknesses_reads_back(tmp_path):
                "--out-dir", str(out)) == EXIT_OK
     tree = parse_dltree((out / "s_B.dltree").read_bytes())
     assert tree.ids == ("r",) and tree.thickness[0] == float(huge)
+
+
+def test_apply_edits_rejects_a_subject_that_leaves_the_out_dir(tmp_path, capsys):
+    # the output is named <subject>_<region>.dltree, so this subject once put
+    # escaped_B.dltree two directories above --out-dir, with exit 0
+    corpus = tmp_path / "a" / "b" / "corpus"
+    corpus.mkdir(parents=True)
+    tree = corpus / "t.dltree"
+    tree.write_text("HEADER ../../escaped B\n(n1:2.0,(n2:1.0),(n3:1.0))\n")
+    script = tmp_path / "fix.edits"
+    script.write_text("# nothing to repair\n")
+    out = tmp_path / "a" / "b" / "fixed"
+    assert run("apply-edits", str(corpus), "--script", str(script),
+               "--out-dir", str(out)) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err.startswith(
+        f"error: {tree}: bad subject id '../../escaped'")
+    assert not list(tmp_path.rglob("*escaped*")) and not out.exists()
+
+
+def test_apply_edits_rejects_a_subject_its_script_lines_cannot_name(tmp_path, capsys):
+    # an edit line for subject #x reads as a comment, so the tree was once
+    # written back unchanged, with exit 0 and no message
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    tree = corpus / "x_B.dltree"
+    tree.write_text("HEADER #x B\n(n1:2.0,(n2:3.0),(n3:1.0))\n")
+    script = tmp_path / "fix.edits"
+    script.write_text("#x B DELETE_LEAF n2\n")
+    out = tmp_path / "fixed"
+    assert run("apply-edits", str(corpus), "--script", str(script),
+               "--out-dir", str(out)) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {tree}: bad subject id '#x'")
+    assert not out.exists()
+
+
+def test_outputs_get_the_mode_a_plain_open_gives(tmp_path):
+    corpus, fixed, figs = tmp_path / "corpus", tmp_path / "fixed", tmp_path / "figs"
+    old = os.umask(0o027)
+    try:
+        assert run("synth", "--subjects", "2", "--seed", "3", "--inject", "vein=1",
+                   "--out-dir", str(corpus)) == EXIT_OK
+        assert run("apply-edits", str(corpus), "--script", str(corpus / "repairs.edits"),
+                   "--out-dir", str(fixed)) == EXIT_OK
+        assert run("render", *map(str, sorted(fixed.glob("*.dltree"))),
+                   "--out-dir", str(figs)) == EXIT_OK
+    finally:
+        os.umask(old)
+    written = {d: sorted(p.name for p in d.iterdir()) for d in (corpus, fixed, figs)}
+    assert len(written[corpus]) == 8 + 3 and len(written[fixed]) == len(written[figs]) == 8
+    for d, names in written.items():
+        for name in names:
+            assert stat.S_IMODE((d / name).stat().st_mode) == 0o640, d / name
 
 
 def _mutate(rng: random.Random, data: bytes) -> bytes:

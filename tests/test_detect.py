@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import time
 
 import pytest
 
@@ -71,6 +72,32 @@ def test_misconnection_reports_only_maximal_node():
     t = tree(BinaryNode("p", 0.9, deep, BinaryNode("q", 0.8)))
     flags = detect_misconnection(t)
     assert [f.node_id for f in flags] == ["x1"]
+
+
+def test_thick_bottom_under_a_deep_comb_scans_in_n_log_n():
+    # 10 000 spine nodes thinning from 3.0 to 1.0 mm, each with a 0.5 mm leaf,
+    # over a 3-node thick bottom: every spine node is a candidate, and sorting
+    # each one's subtree took 2.5 s; reusing the child's sorted list takes ~30 ms
+    spine = 10_000
+    n = 2 * spine + 3
+    ids, thickness, size = [], [], []
+    for k in range(spine):
+        ids += [f"s{k}", f"l{k}"]
+        thickness += [3.0 - 2.0 * k / spine, 0.5]
+        size += [n - 2 * k, 1]
+    ids += ["m1", "m2", "m3"]
+    thickness += [4.0, 3.9, 3.95]
+    size += [3, 1, 1]
+    t = BinaryTree("s", Region.BACK, ids=ids, thickness=thickness, size=size)
+    assert t.node_count == 20_003
+    t.parent  # built once per tree and cached; the bound is on the scan
+    start = time.perf_counter()
+    flags = detect_misconnection(t)
+    elapsed = time.perf_counter() - start
+    # the one jump: the last spine node's five nodes have median 3.9, and every
+    # larger subtree has a median below its parent
+    assert [(f.node_id, f.severity) for f in flags] == [("s9999", 3.9 - thickness[-7])]
+    assert elapsed < 1.0
 
 
 def test_starting_point_basic():

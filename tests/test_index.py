@@ -189,6 +189,48 @@ EXACT_BOUND = BinaryTree("s", Region.BACK, BinaryNode(
                BinaryNode("b", 0.6, _chain([1.1, 1.1, 1.1], prefix="b")),
                BinaryNode("c", 0.2, _chain([0.7, 0.7, 0.7], prefix="c")))))
 
+# Shapes for the bottom-up scan, where a candidate reuses a candidate child's
+# sorted list.  A 4.5 and a 4.2 in a thinning chain over a thick bottom each
+# keep their child from being a candidate, so the chain of candidates breaks
+# twice and the node above each break sorts its slice afresh.
+BROKEN_CHAIN = BinaryTree("s", Region.BACK, _chain(
+    [4.5 if i == 12 else 4.2 if i == 20 else 3.0 * 0.96 ** i for i in range(30)],
+    _chain([3.9, 4.0, 3.8], prefix="t")))
+# a's children are both candidates and both hold lists, of 5 and 4 nodes, so a
+# takes the larger and merges the other; a's 10-node median halves 1.2 and 3.6
+TWO_CANDIDATE_CHILDREN = BinaryTree("s", Region.BACK, BinaryNode(
+    "r", 1.0, BinaryNode("a", 1.2, _chain([1.1, 1.0, 3.9, 4.0, 3.8], prefix="b"),
+                         _chain([1.1, 0.9, 3.7, 3.6], prefix="c"))))
+# the same with the larger list on the right
+RIGHT_HEAVY_CANDIDATE_CHILDREN = BinaryTree("s", Region.BACK, BinaryNode(
+    "r", 1.0, BinaryNode("a", 1.2, _chain([1.1, 3.9, 4.0, 3.8], prefix="b"),
+                         _chain([1.1, 0.9, 3.7, 3.6, 3.5], prefix="c"))))
+
+
+def _comb_with_thick_sides(depth, sides, end):
+    """A thinning comb whose side at each level in `sides` is a thick chain."""
+    node = end
+    for i in reversed(range(depth)):
+        side = (_chain(sides[i], prefix=f"k{i}.") if i in sides
+                else BinaryNode(f"l{i}", 0.5))
+        node = BinaryNode(f"s{i}", 3.0 * 0.97 ** i, side, node)
+    return node
+
+
+# thick subtrees hang off the spine at depths 5, 18 and 31 and end it at 40;
+# the longer sides make a rest too long for insort, so it is merged by a sort
+SEVERAL_THICK = BinaryTree("s", Region.LEFT, _comb_with_thick_sides(
+    40, {5: [3.6, 3.7, 3.5], 18: [3.2] * 12, 31: [2.9, 3.1, 3.0, 3.3, 2.8, 3.4, 3.0]},
+    _chain([3.5, 3.6, 3.4, 3.7])))
+# a phantom root over two thinning chains with thick bottoms: the phantom's
+# children have no parent thickness, so neither is a candidate
+PHANTOM_OVER_THICK_BOTTOMS = BinaryTree("s", Region.BACK, BinaryNode(
+    "ph", None, _chain([2.0, 1.5, 1.0, 0.8], _chain([3.0, 3.2, 3.1], prefix="t")),
+    _chain([1.9, 1.2, 0.7], _chain([2.5, 2.6], prefix="u"), prefix="d")))
+# even-sized subtrees all the way up a chain: every other median halves a pair
+EVEN_THICK_BOTTOM = BinaryTree("s", Region.BACK, _chain(
+    [2.0 * 0.9 ** i for i in range(20)], _chain([3.0, 3.5, 4.0, 4.5], prefix="t")))
+
 
 @settings(max_examples=150, deadline=None)
 @given(trees, st.sampled_from([0.05, 0.3, 1.0]), st.integers(1, 6))
@@ -197,6 +239,18 @@ EXACT_BOUND = BinaryTree("s", Region.BACK, BinaryNode(
 @example(THICK_IN_COMB, 0.3, 3)
 @example(THICK_IN_COMB, 0.3, 5)
 @example(EXACT_BOUND, 0.5, 3)
+@example(BROKEN_CHAIN, 0.3, 3)
+@example(BROKEN_CHAIN, 0.05, 1)
+@example(TWO_CANDIDATE_CHILDREN, 0.3, 3)
+@example(TWO_CANDIDATE_CHILDREN, 0.05, 2)
+@example(RIGHT_HEAVY_CANDIDATE_CHILDREN, 0.3, 3)
+@example(SEVERAL_THICK, 0.3, 3)
+@example(SEVERAL_THICK, 0.05, 1)
+@example(SEVERAL_THICK, 1.0, 5)
+@example(PHANTOM_OVER_THICK_BOTTOMS, 0.3, 3)
+@example(PHANTOM_OVER_THICK_BOTTOMS, 0.05, 1)
+@example(EVEN_THICK_BOTTOM, 0.3, 4)
+@example(EVEN_THICK_BOTTOM, 0.3, 1)
 def test_misconnection_matches_brute_force_in_order(tree, epsilon, min_subtree):
     config = DetectorConfig(epsilon_mm=epsilon, misconnection_min_subtree=min_subtree)
     assert detect_misconnection(tree, config) == brute_misconnection(

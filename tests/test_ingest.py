@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import sys
@@ -126,6 +127,38 @@ def test_vess_root_with_a_parent_names_the_later_record():
         with pytest.raises(DanglingReferenceError, match="root '2' has a parent") as exc:
             parse_vess(head + first + "# c\n" + second)
         assert exc.value.line == 9
+
+
+BAD_SUBJECTS = ["../../escaped", "sub/dir", "#x", ".hidden", "_a", "-a", "~a",
+                "a:b", "a,b", "a(b", "a*b", "a\\b", "é"]
+GOOD_SUBJECTS = ["0", "s000", "sub_1", "A.b_c+d~e-f", "x" * 300]
+
+
+@pytest.mark.parametrize("subject", BAD_SUBJECTS)
+def test_a_subject_outside_the_grammar_is_a_located_parse_error(subject):
+    message = re.escape(f"bad subject id {subject!r}")
+    with pytest.raises(SyntaxParseError, match=message) as exc:
+        parse_dltree(f"# c\nHEADER {subject} B\n(r:1.0)\n")
+    assert (exc.value.line, exc.value.col) == (2, 1)
+    vess = "# c\n" + MINIMAL_VESS.replace("sub1", subject)
+    assert _read_vess(vess) is None  # the walker locates the error
+    with pytest.raises(SyntaxParseError, match=message) as exc:
+        parse_vess(vess)
+    assert exc.value.line == 2
+    tree = BinaryTree(subject, Region.BACK, ids=("r",), thickness=(1.0,), size=(1,))
+    with pytest.raises(ValueError, match=message):
+        serialize_dltree(tree)
+    graph = dataclasses.replace(parse_vess(MINIMAL_VESS), subject_id=subject)
+    with pytest.raises(ValueError, match=message):
+        serialize_vess(graph)
+
+
+@pytest.mark.parametrize("subject", GOOD_SUBJECTS)
+def test_a_subject_in_the_grammar_reads_back(subject):
+    tree = BinaryTree(subject, Region.LEFT, ids=("r", "a"), thickness=(2.0, 1.0), size=(2, 1))
+    assert parse_dltree(serialize_dltree(tree)) == tree
+    graph = dataclasses.replace(parse_vess(MINIMAL_VESS), subject_id=subject)
+    assert _read_vess(serialize_vess(graph).decode()) == parse_vess(serialize_vess(graph)) == graph
 
 
 def test_parse_dltree_single_node():
@@ -476,6 +509,7 @@ def _vess_outcome(parse, text):
 @example(_V2.replace("CONNECT 1 2", "CONNECT 1 3").replace("ROOT 1", "ROOT 3"))
 @example("# c\n" * (_BLOCK - 1) + "HEADER s X\n" + _V2)  # two HEADERs in two blocks
 @example(_V2.replace("ROOT 1\n", "HEADER t F\nROOT 1\n"))  # a second HEADER
+@example(_V2.replace("HEADER s B", "HEADER ../s B"))  # a subject outside the grammar
 def test_column_read_matches_the_line_walker(text):
     """The column read returns the walker's graph, or the walker's own error."""
     assert _vess_outcome(parse_vess, text) == _vess_outcome(_walk_vess, text)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -7,6 +8,7 @@ from dlview.core import BinaryNode, BinaryTree, Region
 from dlview.layout import (
     BIN_COUNT,
     COLOR_RAMP,
+    THICKNESS_RANGE_MM,
     DlLayout,
     DlNodePlacement,
     build_layout,
@@ -41,6 +43,26 @@ def test_color_bin_boundaries():
     assert color_bin(3.9999) == 99
     assert color_bin(0.04) == 1
     assert color_bin(math.nextafter(0.04, 0.0)) == 0
+
+
+def test_build_layout_bins_a_column_as_color_bin_does():
+    # both sides of every bin edge, subnormals, the float maximum and inf
+    edges = {k * THICKNESS_RANGE_MM / BIN_COUNT for k in range(BIN_COUNT + 1)}
+    edges |= {k / (BIN_COUNT / THICKNESS_RANGE_MM) for k in range(BIN_COUNT + 1)}
+    edges |= {5e-324, 1e-310, sys.float_info.min, 1e300, sys.float_info.max, math.inf}
+    values = sorted({w for e in edges for w in (math.nextafter(e, -1.0), e,
+                                                 math.nextafter(e, math.inf))
+                     if w >= 0.0})
+    n = len(values)
+    chain = BinaryTree("s", Region.BACK, ids=tuple(f"c{i}" for i in range(n)),
+                       thickness=tuple(values), size=tuple(range(n, 0, -1)))
+    layout = build_layout(chain)
+    assert layout.color_bin == tuple(map(color_bin, values))
+    assert layout.histogram == tuple(layout.color_bin.count(b) for b in range(BIN_COUNT))
+    negative = BinaryTree("s", Region.BACK, ids=("r", "a"), thickness=(1.0, -0.1),
+                          size=(2, 1))
+    with pytest.raises(ValueError, match="negative thickness -0.1"):
+        build_layout(negative)
 
 
 def test_color_ramp_shape():
