@@ -72,11 +72,12 @@ def detect_misconnection(tree: BinaryTree, config: DetectorConfig = DetectorConf
     candidate takes the sorted thickness list of its candidate child with
     the larger subtree and adds the rest of its slice, itself and the other
     child's nodes; a candidate with no candidate child sorts its slice.
-    A value is added again only as part of a smaller subtree joining a
-    larger one, at most log2(n) times, so a thick subtree under a deep chain
-    of candidates costs O(n log n) comparisons and no longer O(n·depth)
-    sorting; each insort also shifts the list's tail, at memory speed. A
-    preorder pass then reports the maximal flagged nodes."""
+    Along an unbroken chain of candidates a value moves to another list
+    only as part of the smaller of two candidate children, at most log2(n)
+    times, so a thick subtree under a deep chain of candidates costs
+    O(n log n) comparisons and no longer O(n·depth) sorting; each insort
+    also shifts the list's tail, at memory speed. A preorder pass then
+    reports the maximal flagged nodes."""
     ids, thickness, size, parent = tree.ids, tree.thickness, tree.size, tree.parent
     epsilon, min_size = config.epsilon_mm, config.misconnection_min_subtree
     top = list(thickness)  # top[i]: the largest thickness in node i's subtree
