@@ -6,9 +6,9 @@
 
 Detectors only flag; they never modify trees.  Jumps within the
 measurement-error tolerance epsilon are left alone.  The misconnection scan
-takes its subtree medians bottom-up, each candidate reusing the sorted
-thicknesses of a candidate child, so a deep chain costs O(n log n)
-comparisons.
+takes its subtree medians bottom-up, each candidate reusing the longest
+sorted list held by a candidate below it, so any shape costs O(n log n)
+comparisons and O(n) memory.
 """
 
 from __future__ import annotations
@@ -69,20 +69,24 @@ def detect_misconnection(tree: BinaryTree, config: DetectorConfig = DetectorConf
     A median never exceeds its subtree's maximum, and float subtraction is
     monotone, so only a candidate, a node whose maximum clears the jump, can
     flag. Candidate medians are taken bottom-up, in reverse preorder: a
-    candidate takes the sorted thickness list of its candidate child with
-    the larger subtree and adds the rest of its slice, itself and the other
-    child's nodes; a candidate with no candidate child sorts its slice.
-    Along an unbroken chain of candidates a value moves to another list
-    only as part of the smaller of two candidate children, at most log2(n)
-    times, so a thick subtree under a deep chain of candidates costs
-    O(n log n) comparisons and no longer O(n·depth) sorting; each insort
-    also shifts the list's tail, at memory speed. A preorder pass then
-    reports the maximal flagged nodes."""
+    candidate takes every sorted list still held below it, those of the
+    nearest candidates in its subtree, keeps the longest and adds the rest
+    of its slice, the other lists and the nodes no list holds; a candidate
+    with no candidate below sorts its slice. Held lists cover disjoint
+    subtrees, so they take O(n) memory, and each value is sorted once and
+    then moves to another list only as part of a shorter one, at most
+    log2(n) times: O(n log n) comparisons on any shape. Each insort also
+    shifts the tail of the list, at memory speed, so a chain of d
+    candidates over n nodes still moves up to n·d pointers. A preorder pass
+    then reports the maximal flagged nodes."""
     ids, thickness, size, parent = tree.ids, tree.thickness, tree.size, tree.parent
     epsilon, min_size = config.epsilon_mm, config.misconnection_min_subtree
     top = list(thickness)  # top[i]: the largest thickness in node i's subtree
     top[0] = -math.inf  # the root is never a candidate, and may lack a thickness
-    held = {}  # candidate -> its subtree's sorted thicknesses, until its parent takes them
+    # the sorted thicknesses of candidate subtrees until a candidate above
+    # takes them, and those candidates; pushed in reverse preorder, so the
+    # entries of a subtree are the last ones
+    held, held_at = [], []
     median = {}  # candidate -> its subtree median, filled in reverse preorder
     for i in range(len(ids) - 1, 0, -1):
         p = parent[i]
@@ -93,30 +97,29 @@ def detect_misconnection(tree: BinaryTree, config: DetectorConfig = DetectorConf
         if size[i] < min_size or parent_t is None or not top[i] - parent_t - epsilon > 0:
             continue
         end = i + size[i]
-        s = None
-        if end > i + 1:  # i has children: left at i + 1, and right when it fits
-            left = i + 1
-            right = left + size[left]
-            a = held.pop(left, None)
-            b = held.pop(right, None) if right < end else None
-            if b is not None and (a is None or size[right] > size[left]):
-                s, rest = b, a or thickness[left:right]
-            elif a is not None:
-                s, rest = a, b or thickness[right:end]
-        if s is None:  # no candidate child
-            s = sorted(thickness[i:end])
+        # s starts empty and trades places with any longer list popped, so it
+        # ends as the longest list below i; every other value goes into rest
+        s, rest, at = [], [], i
+        while held_at and held_at[-1] < end:  # popped in preorder
+            j = held_at.pop()
+            h = held.pop()
+            rest += thickness[at:j]  # i itself, or the nodes between two lists
+            at = j + size[j]
+            if len(h) > len(s):
+                s, h = h, s
+            rest += h
+        rest += thickness[at:end]
+        # r = len(rest) insorts shift up to r * len(s) items, and a sort
+        # walks all of s; the measured crossover grows with len(s), from
+        # r = 1 at 16 values to r = 40 at 65 536, and r < log2(len(s)) follows it
+        if len(rest) < len(s).bit_length():
+            for t in rest:
+                insort(s, t)
         else:
-            rest = [thickness[i], *rest]
-            # r = len(rest) insorts shift up to r * len(s) items, and a sort
-            # walks all of s; the measured crossover grows with len(s), from
-            # r = 1 at 16 values to r = 40 at 65 536, and r < log2(len(s)) follows it
-            if len(rest) < len(s).bit_length():
-                for t in rest:
-                    insort(s, t)
-            else:
-                s += rest
-                s.sort()
-        held[i] = s
+            s += rest
+            s.sort()
+        held.append(s)
+        held_at.append(i)
         median[i] = _median(s)
     flags = []
     end = 0

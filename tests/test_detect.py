@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -98,6 +99,30 @@ def test_thick_bottom_under_a_deep_comb_scans_in_n_log_n():
     # larger subtree has a median below its parent
     assert [(f.node_id, f.severity) for f in flags] == [("s9999", 3.9 - thickness[-7])]
     assert elapsed < 1.0
+
+
+def test_alternating_chain_scans_in_linear_memory():
+    # thickness 10, 1, 10, 1, ... down a 20 000-node chain: each 10 node is a
+    # candidate and its 1 node child is not; a candidate that sorted its slice
+    # afresh, with every list kept to the end, took 3.3 s and 800 MB
+    n = 20_000
+    thickness = [10.0 if k % 2 == 0 else 1.0 for k in range(n)]
+    t = BinaryTree("s", Region.BACK, ids=[f"n{k}" for k in range(n)],
+                   thickness=thickness, size=[n - k for k in range(n)])
+    t.parent  # built once per tree and cached; the bounds are on the scan
+    start = time.perf_counter()
+    flags = detect_misconnection(t)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        detect_misconnection(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # n2's 19 998 nodes have median 5.5, 4.5 above its parent n1
+    assert [(f.node_id, f.severity) for f in flags] == [("n2", 4.5)]
+    assert elapsed < 1.0
+    assert peak < 16 * n * 8  # a few pointers a node, where n²/4 were held
 
 
 def test_starting_point_basic():

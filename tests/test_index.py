@@ -227,6 +227,13 @@ SEVERAL_THICK = BinaryTree("s", Region.LEFT, _comb_with_thick_sides(
 PHANTOM_OVER_THICK_BOTTOMS = BinaryTree("s", Region.BACK, BinaryNode(
     "ph", None, _chain([2.0, 1.5, 1.0, 0.8], _chain([3.0, 3.2, 3.1], prefix="t")),
     _chain([1.9, 1.2, 0.7], _chain([2.5, 2.6], prefix="u"), prefix="d")))
+# thickness alternating 10, 1, 10, 1: every 10 node is a candidate, and its 1
+# node child is not, so each candidate gathers the list held below that child
+ALTERNATING = BinaryTree("s", Region.BACK, _chain([10.0, 1.0] * 20))
+# 10, 1, 1, 1 over a thick bottom: the second and third 1 nodes are candidates
+# too, no median above the bottom clears the jump, and the bottom flags
+ALTERNATING_OVER_THICK_BOTTOM = BinaryTree("s", Region.BACK, _chain(
+    [10.0, 1.0, 1.0, 1.0] * 10, _chain([4.0, 4.1, 3.9], prefix="t")))
 # even-sized subtrees all the way up a chain: every other median halves a pair
 EVEN_THICK_BOTTOM = BinaryTree("s", Region.BACK, _chain(
     [2.0 * 0.9 ** i for i in range(20)], _chain([3.0, 3.5, 4.0, 4.5], prefix="t")))
@@ -249,6 +256,10 @@ EVEN_THICK_BOTTOM = BinaryTree("s", Region.BACK, _chain(
 @example(SEVERAL_THICK, 1.0, 5)
 @example(PHANTOM_OVER_THICK_BOTTOMS, 0.3, 3)
 @example(PHANTOM_OVER_THICK_BOTTOMS, 0.05, 1)
+@example(ALTERNATING, 0.3, 3)
+@example(ALTERNATING, 0.3, 1)
+@example(ALTERNATING_OVER_THICK_BOTTOM, 0.3, 3)
+@example(ALTERNATING_OVER_THICK_BOTTOM, 0.05, 2)
 @example(EVEN_THICK_BOTTOM, 0.3, 4)
 @example(EVEN_THICK_BOTTOM, 0.3, 1)
 def test_misconnection_matches_brute_force_in_order(tree, epsilon, min_subtree):
