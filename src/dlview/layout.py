@@ -156,7 +156,8 @@ def build_layout(tree: BinaryTree, jitter_salt: str = "") -> DlLayout:
         raise ValueError(f"negative thickness {lo}")
     # color_bin for the whole column: t / THICKNESS_RANGE_MM is exact, a power
     # of two, so t * scale rounds to the same float; the min runs only where
-    # it can bite, at the top bin and on NaN
+    # it can bite, at the top bin and on NaN, since a call per value costs
+    # more than the comparison
     scale, top = BIN_COUNT / THICKNESS_RANGE_MM, BIN_COUNT - 1
     bins = [int(v) if v < top else int(min(v, top)) for v in map(scale.__mul__, present)]
     histogram = [0] * BIN_COUNT
