@@ -7,12 +7,16 @@ sizes (size[i] counts the nodes under node i, itself included).  Nodes are
 numbered in preorder, left before right, so the subtree under node i is the
 slice [i, i + size[i]), its left child sits at i + 1 and its right child at
 i + 1 + size[i + 1].  A lone child is a left child, as the .dltree format
-cannot tell the sides apart.  Parents and levels are derived on first use.
-`parent` is one pass over size: each node i with size[i] > 1 is the parent
-of i + 1, and of i + 1 + size[i + 1] when that still lies in its slice.
-An edit is a slice (`subtree`) or a `splice`.  BinaryNode is only a builder
-(`BinaryTree(subject, region, root_node)` flattens a hand-made graph) and a
-view (`BinaryTree.root`); no stage uses it.
+cannot tell the sides apart.  Construction builds no index: `position`
+is `ids.index`, and `ancestors(i)` walks down from the root, each time into
+the child whose slice holds i.  An edit is a slice (`subtree`) or a
+`splice`, which fixes sizes along `ancestors`, so an edit line costs
+O(depth) Python steps plus C-level tuple copies.  Parents and levels, which
+scan and layout need for every node, are derived on first use.  `parent`
+is one pass over size: each node i with size[i] > 1 is the parent of i + 1,
+and of i + 1 + size[i + 1] when that still lies in its slice.  BinaryNode
+is only a builder (`BinaryTree(subject, region, root_node)` flattens a
+hand-made graph) and a view (`BinaryTree.root`); no stage uses it.
 """
 
 from __future__ import annotations
@@ -227,17 +231,30 @@ class BinaryTree:
             size = subtree_sizes(parent)
         for name, value in (("ids", ids), ("thickness", thickness), ("size", size)):
             object.__setattr__(self, name, tuple(value))
-        position: dict[str, int] = {}
-        for i, node_id in enumerate(self.ids):
-            if node_id in position:
-                raise DuplicateNodeIdError(f"duplicate node_id {node_id!r}", i)
-            position[node_id] = i
-        if self.thickness[0] is None and len(self.children(0)) != 2:
+        ids, thickness = self.ids, self.thickness
+        if len(set(ids)) < len(ids):  # find the second occurrence
+            seen: set[str] = set()
+            for i, node_id in enumerate(ids):
+                if node_id in seen:
+                    raise DuplicateNodeIdError(f"duplicate node_id {node_id!r}", i)
+                seen.add(node_id)
+        if thickness[0] is None and len(self.children(0)) != 2:
             raise TreeError("phantom root must have exactly 2 children", 0)
-        if None in self.thickness[1:]:
-            i = self.thickness.index(None, 1)
-            raise TreeError(f"non-root node {self.ids[i]!r} lacks thickness", i)
-        object.__setattr__(self, "_position", position)
+        # in C: min falls below 0 at a negative (or is NaN), sum is NaN at any
+        # NaN, and either raises TypeError at a None; then find the first one
+        given = thickness[1:] if thickness[0] is None else thickness
+        try:
+            valid = min(given) >= 0.0 and sum(given) >= 0.0
+        except TypeError:
+            valid = False
+        if not valid:
+            for i, t in enumerate(thickness):
+                if t is None and i:
+                    raise TreeError(f"non-root node {ids[i]!r} lacks thickness", i)
+                if t is not None and t < 0:
+                    raise TreeError(f"negative thickness {t} on node {ids[i]!r}", i)
+                if t != t:
+                    raise TreeError(f"NaN thickness on node {ids[i]!r}", i)
 
     @property
     def node_count(self) -> int:
@@ -273,11 +290,22 @@ class BinaryTree:
             level[i] = level[parent[i]] + 1
         return level
 
+    def ancestors(self, i: int) -> list[int]:
+        """Preorder positions of node i's ancestors, root first."""
+        size = self.size
+        path, a = [], 0
+        while a < i:  # a's slice holds i; step into the child whose slice does
+            path.append(a)
+            a += 1
+            if i >= a + size[a]:
+                a += size[a]
+        return path
+
     def position(self, node_id: str) -> int:
         """Preorder position of the node."""
         try:
-            return self._position[node_id]
-        except KeyError:
+            return self.ids.index(node_id)
+        except ValueError:
             raise UnknownNodeError(
                 f"node {node_id!r} not in tree {self.subject_id}/{self.region.value}"
             )
@@ -295,10 +323,8 @@ class BinaryTree:
         preorder ids, thicknesses and sizes; only i's ancestors change size."""
         end = i + self.size[i]
         head = list(self.size[:i])
-        a = self.parent[i]
-        while a >= 0:
+        for a in self.ancestors(i):
             head[a] += len(ids) - self.size[i]
-            a = self.parent[a]
         return BinaryTree(self.subject_id, self.region,
                           ids=self.ids[:i] + tuple(ids) + self.ids[end:],
                           thickness=self.thickness[:i] + tuple(thickness) + self.thickness[end:],

@@ -64,9 +64,9 @@ def delete_subtree(tree: BinaryTree, node_id: str) -> BinaryTree:
     phantom root is replaced by the surviving vessel.
     """
     i = tree.position(node_id)
-    p = tree.parent[i]
-    if p < 0:
+    if i == 0:
         raise EditScriptError("cannot delete the root subtree (exclude the case instead)")
+    p = tree.ancestors(i)[-1]
     kids = tree.children(p)
     if len(kids) == 1:
         return tree.splice(i, (), (), ())  # the parent is left a leaf

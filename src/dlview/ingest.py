@@ -564,12 +564,16 @@ def serialize_dltree(tree: BinaryTree) -> bytes:
     """Canonical form: left child first, thickness with exactly 4 decimals.
 
     A node id outside the id grammar, which would not read back as itself,
-    or a subject outside the subject grammar raises ValueError."""
+    a subject outside the subject grammar or an infinite thickness, which
+    the parser refuses, raises ValueError."""
     if not _SUBJECT_RE.fullmatch(tree.subject_id):
         raise ValueError(_bad_subject(tree.subject_id))
     bad = next(filterfalse(_ID_RE.fullmatch, tree.ids), None)
     if bad is not None:
         raise ValueError(f"node id {bad!r} is outside the .dltree id grammar")
+    if math.inf in tree.thickness:
+        bad = tree.ids[tree.thickness.index(math.inf)]
+        raise ValueError(f"node {bad!r} has an infinite thickness")
     closes = [0] * (tree.node_count + 1)  # [k]: subtrees whose last node is k - 1
     for j, s in enumerate(tree.size):
         closes[j + s] += 1

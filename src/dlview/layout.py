@@ -152,8 +152,6 @@ def build_layout(tree: BinaryTree, jitter_salt: str = "") -> DlLayout:
             y_jittered[i] = v + (2.0 * u - 1.0) * JITTER_AMPLITUDE
     present = [t for t in tree.thickness if t is not None]
     lo = min(present, default=None)
-    if lo is not None and lo < 0:
-        raise ValueError(f"negative thickness {lo}")
     # color_bin for the whole column: t / THICKNESS_RANGE_MM is exact, a power
     # of two, so t * scale rounds to the same float; the min runs only where
     # it can bite, at the top bin and on NaN, since a call per value costs

@@ -15,14 +15,24 @@ from dlview.cli import (
     EXIT_FLAGS_FOUND,
     EXIT_OK,
     DataError,
+    _read_covariates,
     main,
     parse_inject_spec,
 )
-from dlview.core import Region
-from dlview.detect import FlagKind
-from dlview.ingest import parse_dltree, serialize_vess
+from dlview.core import BinaryTree, Region
+from dlview.detect import FlagKind, FlagRecord, flags_from_tsv, flags_to_tsv
+from dlview.edit import (
+    DeleteLeaf,
+    DeleteSubtree,
+    ScriptLine,
+    TrimRoot,
+    apply_script,
+    format_script,
+    parse_script,
+)
+from dlview.ingest import parse_dltree, serialize_dltree, serialize_vess
 
-from conftest import random_vess_graph
+from conftest import random_binary_tree, random_vess_graph
 
 MINIMAL_VESS = """\
 HEADER sub1 B
@@ -544,6 +554,69 @@ def test_apply_edits_rejects_a_subject_its_script_lines_cannot_name(tmp_path, ca
                "--out-dir", str(out)) == EXIT_DATA_ERROR
     assert capsys.readouterr().err.startswith(f"error: {tree}: bad subject id '#x'")
     assert not out.exists()
+
+
+_ALNUM = "abcXYZ0189"
+
+
+def grammar_edges(punctuation: str, *long: int):
+    """Names at the edges of `[A-Za-z0-9][A-Za-z0-9<punctuation>]*`: one
+    character, each length in `long`, digits only, and each punctuation
+    character in every non-first position."""
+    first = st.sampled_from(_ALNUM)
+    return st.one_of(
+        first,
+        *(st.builds(str.__add__, first, st.text(_ALNUM + punctuation, min_size=n - 1,
+                                                 max_size=n - 1)) for n in long),
+        st.text("0123456789", min_size=1, max_size=12),
+        st.builds(lambda f, p, k: f + "x" * (k - 1) + p + "y" * (5 - k),
+                  first, st.sampled_from(punctuation), st.integers(1, 5)),
+        st.builds(lambda f, p: f + p * 5, first, st.sampled_from(punctuation)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(subject=grammar_edges("._+~-", 246, 300),
+       node_ids=st.lists(grammar_edges(".+~-", 300), min_size=12, max_size=12, unique=True),
+       seed=st.integers(0, 10**6), region=st.sampled_from(list(Region)))
+def test_names_at_the_grammar_edges_pass_every_command(subject, node_ids, seed, region):
+    rng = random.Random(seed)
+    shape = random_binary_tree(rng, max_nodes=len(node_ids))
+    tree = BinaryTree(subject, region, ids=tuple(node_ids[:shape.node_count]),
+                      thickness=shape.thickness, size=shape.size)
+    key = (subject, region.value)
+    # a line for every node, each op that applies to it
+    script = [ScriptLine(subject, region, TrimRoot(node_id)) for node_id in tree.ids]
+    script += [ScriptLine(subject, region, DeleteSubtree(node_id)) for node_id in tree.ids[1:]]
+    script += [ScriptLine(subject, region, DeleteLeaf(node_id))
+               for i, node_id in enumerate(tree.ids) if i and tree.size[i] == 1]
+    back = parse_script(format_script(script))
+    assert [(l.subject_id, l.region, l.op) for l in back] == [
+        (l.subject_id, l.region, l.op) for l in script]
+    for line in back:
+        apply_script({key: tree}, [line])
+    flags = [FlagRecord(subject, region.value, kind, node_id, 0.5)
+             for kind, node_id in zip(list(FlagKind) * len(tree.ids), tree.ids)]
+    assert flags_from_tsv(flags_to_tsv(flags)) == flags
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "ages.tsv").write_text(f"subject\tage\n{subject}\t61.5000\n")
+        assert _read_covariates(tmp / "ages.tsv") == {subject: 61.5}
+        name = f"{subject}_{region.value}.dltree"
+        if len(name) > 255:  # past the file-name limit of common file systems
+            return
+        vess, corpus = tmp / "in.vess", tmp / "corpus"
+        vess.write_bytes(serialize_vess(random_vess_graph(rng, max_segments=8,
+                                                          subject_id=subject, region=region)))
+        corpus.mkdir()
+        (corpus / "t.dltree").write_bytes(serialize_dltree(tree))
+        (tmp / "fix.edits").write_text(format_script(back[-1:]))
+        assert run("extract", str(vess), "--out-dir", str(tmp / "trees")) == EXIT_OK
+        assert run("apply-edits", str(corpus), "--script", str(tmp / "fix.edits"),
+                   "--out-dir", str(tmp / "fixed")) == EXIT_OK
+        written = {p.relative_to(tmp) for p in tmp.rglob("*") if p.is_file()}
+        assert written == {Path("ages.tsv"), Path("in.vess"), Path("corpus/t.dltree"),
+                           Path("fix.edits"), Path("trees") / name, Path("fixed") / name}
 
 
 def test_outputs_get_the_mode_a_plain_open_gives(tmp_path):

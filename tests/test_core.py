@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from dlview.core import (
     BinaryNode,
     BinaryTree,
     Region,
+    TreeError,
     UnknownNodeError,
     VesselPoint,
     VesselSegment,
@@ -84,6 +86,23 @@ def test_duplicate_node_ids_rejected():
     with pytest.raises(ValueError):
         BinaryTree("s", Region.BACK,
                    BinaryNode("a", 1.0, BinaryNode("a", 1.0)))
+
+
+def test_array_tree_refuses_a_negative_thickness():
+    with pytest.raises(TreeError, match="negative thickness -0.5 on node 'a'") as exc:
+        BinaryTree("s", Region.BACK, ids=("r", "a", "b"),
+                   thickness=(1.0, -0.5, math.nan), size=(3, 1, 1))
+    assert exc.value.node == 1
+
+
+def test_array_tree_refuses_a_nan_thickness():
+    # NaN in front of a negative value hides it from min, but not from sum
+    for thickness, node in (((1.0, 0.5, math.nan), 2), ((math.nan, 0.5, -1.0), 0),
+                            ((None, math.nan, 2.0), 1)):
+        with pytest.raises(TreeError, match="NaN thickness") as exc:
+            BinaryTree("s", Region.BACK, ids=("r", "a", "b"),
+                       thickness=thickness, size=(3, 1, 1))
+        assert exc.value.node == node
 
 
 def test_phantom_root_needs_two_children():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dlview.core import BinaryNode, BinaryTree, Region
+from dlview.core import BinaryNode, BinaryTree, DuplicateNodeIdError, Region, UnknownNodeError
 from dlview.detect import (
     DetectorConfig,
     FlagKind,
@@ -18,7 +18,14 @@ from dlview.detect import (
     detect_misconnection,
     scan_tree,
 )
-from dlview.edit import DeleteSubtree, EditScriptError, ScriptLine, apply_script, delete_subtree
+from dlview.edit import (
+    DeleteLeaf,
+    DeleteSubtree,
+    EditScriptError,
+    ScriptLine,
+    apply_script,
+    delete_subtree,
+)
 from dlview.ingest import parse_dltree, serialize_dltree
 from dlview.layout import (
     BIN_COUNT,
@@ -468,6 +475,40 @@ def test_render_interleaved_options_match_reference():
         assert render_svg(layout, options) == reference_render_svg(layout, options)
 
 
+@st.composite
+def phantom_roots(draw):
+    """A phantom root over two drawn trees, built from their arrays."""
+    vessels = trees.filter(lambda t: t.thickness[0] is not None)
+    left, right = draw(vessels), draw(vessels)
+    return BinaryTree("s", Region.FRONT,
+                      ids=("ph",) + tuple(f"a{x}" for x in left.ids)
+                      + tuple(f"b{x}" for x in right.ids),
+                      thickness=(None,) + left.thickness + right.thickness,
+                      size=(1 + left.node_count + right.node_count,) + left.size + right.size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(trees, chains(), phantom_roots()), st.data())
+def test_navigation_by_descent_matches_the_parent_array(tree, data):
+    parent = tree.parent
+    for i, node_id in enumerate(tree.ids):
+        up, a = [], parent[i]
+        while a >= 0:
+            up.append(a)
+            a = parent[a]
+        assert tree.ancestors(i) == up[::-1]
+        assert tree.position(node_id) == tree.ids.index(node_id) == i
+    with pytest.raises(UnknownNodeError):
+        tree.position("missing")
+    if tree.node_count > 1:
+        j, k = sorted(data.draw(st.lists(st.integers(0, tree.node_count - 1),
+                                         min_size=2, max_size=2, unique=True)))
+        ids = tree.ids[:k] + (tree.ids[j],) + tree.ids[k + 1:]
+        with pytest.raises(DuplicateNodeIdError) as exc:
+            BinaryTree("s", tree.region, ids=ids, thickness=tree.thickness, size=tree.size)
+        assert exc.value.node == k
+
+
 def _remove(node, target_id):
     """The recursive whole-tree rebuild that delete_subtree replaced."""
     if node.node_id == target_id:
@@ -515,6 +556,26 @@ def test_path_copy_edits_match_recursive_oracles(tree, data):
         return
     expected = BinaryTree(tree.subject_id, tree.region, _remove(tree.root, target))
     assert shape(delete_subtree(tree, target)) == shape(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(trees, phantom_roots()), st.data())
+def test_edit_sequences_match_recursive_oracles(tree, data):
+    """Later lines descend through the sizes that earlier lines changed."""
+    key = ("s", tree.region.value)
+    expected, script = tree, []
+    for _ in range(data.draw(st.integers(2, 5))):
+        if expected.node_count == 1:
+            break
+        target = data.draw(st.sampled_from(expected.ids[1:]))
+        leaf = expected.size[expected.position(target)] == 1
+        op = DeleteLeaf(target) if leaf and data.draw(st.booleans()) else DeleteSubtree(target)
+        script.append(ScriptLine("s", tree.region, op))
+        expected = BinaryTree("s", tree.region, _remove(expected.root, target))
+    out = apply_script({key: tree}, script)
+    assert shape(out[key]) == shape(expected)
+    for t in out.values():
+        assert "parent" not in t.__dict__  # no edit derives the parent array
 
 
 def _chain_text(thick):

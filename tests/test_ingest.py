@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import re
 import sys
@@ -207,6 +208,14 @@ def test_dltree_tree_check_errors_take_class_and_node_from_the_check():
 def test_serialize_formats_four_decimals():
     t = parse_dltree("HEADER s B\n(r:1.25)\n")
     assert serialize_dltree(t) == b"HEADER s B\n(r:1.2500)\n"
+
+
+def test_serialize_refuses_an_infinite_thickness():
+    # the parser reads no thickness past float range, so inf would not read back
+    t = BinaryTree("s", Region.BACK, ids=("r", "a", "b"),
+                   thickness=(1.0, 0.5, math.inf), size=(3, 1, 1))
+    with pytest.raises(ValueError, match="node 'b' has an infinite thickness"):
+        serialize_dltree(t)
 
 
 def test_dltree_roundtrip_random():

@@ -59,10 +59,9 @@ def test_build_layout_bins_a_column_as_color_bin_does():
     layout = build_layout(chain)
     assert layout.color_bin == tuple(map(color_bin, values))
     assert layout.histogram == tuple(layout.color_bin.count(b) for b in range(BIN_COUNT))
-    negative = BinaryTree("s", Region.BACK, ids=("r", "a"), thickness=(1.0, -0.1),
-                          size=(2, 1))
+    # a negative thickness never reaches build_layout: the tree refuses it
     with pytest.raises(ValueError, match="negative thickness -0.1"):
-        build_layout(negative)
+        BinaryTree("s", Region.BACK, ids=("r", "a"), thickness=(1.0, -0.1), size=(2, 1))
 
 
 def test_color_ramp_shape():
