@@ -240,8 +240,9 @@ class BinaryTree:
                 seen.add(node_id)
         if thickness[0] is None and len(self.children(0)) != 2:
             raise TreeError("phantom root must have exactly 2 children", 0)
-        # in C: min falls below 0 at a negative (or is NaN), sum is NaN at any
-        # NaN, and either raises TypeError at a None; then find the first one
+        # two C-level passes: min falls below 0 at a negative (or is NaN), sum
+        # is NaN at any NaN, and both raise TypeError at a None; only a bad
+        # tree pays the loop that names the first bad node
         given = thickness[1:] if thickness[0] is None else thickness
         try:
             valid = min(given) >= 0.0 and sum(given) >= 0.0
