@@ -11,12 +11,13 @@ cannot tell the sides apart.  Construction builds no index: `position`
 is `ids.index`, and `ancestors(i)` walks down from the root, each time into
 the child whose slice holds i.  An edit is a slice (`subtree`) or a
 `splice`, which fixes sizes along `ancestors`, so an edit line costs
-O(depth) Python steps plus C-level tuple copies.  Parents and levels, which
-scan and layout need for every node, are derived on first use.  `parent`
-is one pass over size: each node i with size[i] > 1 is the parent of i + 1,
-and of i + 1 + size[i + 1] when that still lies in its slice.  BinaryNode
-is only a builder (`BinaryTree(subject, region, root_node)` flattens a
-hand-made graph) and a view (`BinaryTree.root`); no stage uses it.
+O(depth) Python steps plus C-level scans and tuple copies.  Parents and
+levels, which scan and layout need for every node, are derived on first
+use.  `parent` is one pass over size: each node i with size[i] > 1 is the
+parent of i + 1, and of i + 1 + size[i + 1] when that still lies in its
+slice.  BinaryNode is only a builder (`BinaryTree(subject, region,
+root_node)` flattens a hand-made graph) and a view (`BinaryTree.root`); no
+stage uses it.
 """
 
 from __future__ import annotations
