@@ -88,8 +88,17 @@ def _load_corpus(directory: Path) -> dict[tuple[str, str], BinaryTree]:
     return corpus
 
 
+# bytes in one file name on common file systems (NAME_MAX)
+_NAME_MAX = 255
+
+
 def _tree_filename(tree: BinaryTree) -> str:
-    return f"{tree.subject_id}_{tree.region.value}.dltree"
+    """`<subject>_<region>.dltree`; a DataError if the name is too long to create."""
+    name = f"{tree.subject_id}_{tree.region.value}.dltree"
+    if len(name.encode("utf-8")) > _NAME_MAX:
+        raise DataError(f"subject {tree.subject_id!r} is too long to name an output file: "
+                        f"{name!r} passes the {_NAME_MAX}-byte file-name limit")
+    return name
 
 
 def _read_config(path: Path | None) -> dict[str, int | float]:
@@ -128,12 +137,17 @@ def _detector_config(cfg: dict[str, int | float], args) -> DetectorConfig:
 
 def cmd_extract(args) -> int:
     out_dir = Path(args.out_dir)
+    outputs = []  # every input is read and named before anything is written
     for path in map(Path, args.inputs):
+        text = _read_text(path)
         try:
-            tree = extract_binary_tree(ingest.parse_vess(_read_text(path)))
-        except ValueError as e:  # a ParseError, or a graph extraction rejects
-            raise DataError(f"{path}: {e}")
-        _write_atomic(out_dir / _tree_filename(tree), ingest.serialize_dltree(tree))
+            tree = extract_binary_tree(ingest.parse_vess(text))
+            name = _tree_filename(tree)
+        except (ValueError, DataError) as e:  # a ParseError, a graph extraction
+            raise DataError(f"{path}: {e}")   # rejects, or a name too long
+        outputs.append((out_dir / name, ingest.serialize_dltree(tree)))
+    for target, data in outputs:
+        _write_atomic(target, data)
     return EXIT_OK
 
 
@@ -174,8 +188,9 @@ def cmd_apply_edits(args) -> int:
     except edit.EditScriptError as e:
         raise DataError(f"{args.script}: {e}")
     out_dir = Path(args.out_dir)
-    for tree in edited.values():
-        _write_atomic(out_dir / _tree_filename(tree), ingest.serialize_dltree(tree))
+    targets = [out_dir / _tree_filename(tree) for tree in edited.values()]  # before any write
+    for target, tree in zip(targets, edited.values()):
+        _write_atomic(target, ingest.serialize_dltree(tree))
     return EXIT_OK
 
 

@@ -12,12 +12,14 @@ is `ids.index`, and `ancestors(i)` walks down from the root, each time into
 the child whose slice holds i.  An edit is a slice (`subtree`) or a
 `splice`, which fixes sizes along `ancestors`, so an edit line costs
 O(depth) Python steps plus C-level scans and tuple copies.  Parents and
-levels, which scan and layout need for every node, are derived on first
-use.  `parent` is one pass over size: each node i with size[i] > 1 is the
-parent of i + 1, and of i + 1 + size[i + 1] when that still lies in its
-slice.  BinaryNode is only a builder (`BinaryTree(subject, region,
-root_node)` flattens a hand-made graph) and a view (`BinaryTree.root`); no
-stage uses it.
+levels, which scan and layout need for every node, are cached properties:
+`parse_dltree` hands each tree the parents its parse found (`_with_parent`),
+and any other tree derives them on first use.  `parent` is then one pass
+over size: each node i with size[i] > 1 is the parent of i + 1, and of
+i + 1 + size[i + 1] when that still lies in its slice.  `level` is always
+derived from `parent`.  BinaryNode is only a builder (`BinaryTree(subject,
+region, root_node)` flattens a hand-made graph) and a view
+(`BinaryTree.root`); no stage uses it.
 """
 
 from __future__ import annotations
@@ -351,6 +353,15 @@ class BinaryTree:
 
     def node(self, node_id: str) -> BinaryNode:
         return self._view[self.position(node_id)]
+
+
+def _with_parent(tree: BinaryTree, parent: list[int]) -> BinaryTree:
+    """tree, with parent as its cached BinaryTree.parent.
+
+    The caller vouches that parent is what BinaryTree.parent would derive;
+    a non-data cached_property is read from the instance once it is set."""
+    object.__setattr__(tree, "parent", parent)
+    return tree
 
 
 @dataclass(frozen=True)

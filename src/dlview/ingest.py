@@ -28,10 +28,14 @@ Errors in either format name the file's line, counted at \\n, \\r\\n and \\r
 only.  Records are still the str.splitlines pieces, so a record after a form
 feed or another Unicode line break carries the line it sits on.
 
-A .dltree body is split into nodes once, by the one node pattern _NODE, and
-the pieces are checked and converted as whole lists.  The piece walker, which
-matches _NODE node by node, runs only when one of the split's checks fails:
-it accepts exactly the bodies the split accepts, and raises the located error.
+A .dltree body is split into nodes once, by _TIGHT_NODE, the node pattern
+without the optional spaces and tabs, and the pieces are checked and
+converted as whole lists.  The piece walker, which matches the
+whitespace-tolerant _NODE node by node, reads a body with spaces or tabs,
+and any body the split cannot read: it accepts every body the split
+accepts, with the same lists, and raises the located error.  Either way the
+stack that sizes the nodes also finds each node's parent, and the tree is
+handed those parents, so scan and layout do not derive them again.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .core import (
     VesselPoint,
     VesselSegment,
     _id_sort_key,
+    _with_parent,
 )
 
 
@@ -440,12 +445,13 @@ def parse_dltree(text: Union[str, bytes]) -> BinaryTree:
         line, off, raw, part = lines[-1]  # the body's end, or the header's if it is empty
         return line, off + raw.index(part) + len(part) + 1
 
-    ids, thickness, size = _parse_body(body, at)
+    ids, thickness, size, parent = _parse_body(body, at)
     try:
-        return BinaryTree(toks[1], region, ids=ids, thickness=thickness, size=size)
+        tree = BinaryTree(toks[1], region, ids=ids, thickness=thickness, size=size)
     except TreeError as e:  # located at the '(' that opens the node it names
         cls = DuplicateIdError if isinstance(e, DuplicateNodeIdError) else SyntaxParseError
         raise cls(str(e), *at([p for p, c in enumerate(body) if c == "("][e.node]))
+    return _with_parent(tree, parent)
 
 
 # The pieces that open a node, each after optional spaces or tabs, with the
@@ -457,22 +463,36 @@ _PIECES = (
     ("colon", re.compile(":"), "expected ':' after node id"),
     ("thickness", re.compile("_|" + _NUM_RE.pattern), "expected thickness number or '_'"),
 )
-# One node as serialize_dltree writes it: its pieces, then the ')'s that close
-# it and its ancestors, and an optional ','.  Only the id, thickness, closes
-# and comma groups capture, so _NODE.split(body) gives
-# [gap, id, thickness, closes, comma] * nodes + [tail].
-_NODE = re.compile("".join(
-    _WS.pattern + (f"(?P<{name}>{p.pattern})" if name in ("id", "thickness")
-                   else f"(?:{p.pattern})")
-    for name, p, _ in _PIECES) + r"(?P<closes>[ \t)]*)(?P<comma>,?)")
+
+
+def _node_pattern(gap: str, closes: str) -> re.Pattern:
+    """One node as serialize_dltree writes it, with `gap` before each of its
+    pieces: the pieces, then the `closes` that close it and its ancestors,
+    and an optional ','.  Only the id, thickness, closes and comma groups
+    capture, so a split gives [gap, id, thickness, closes, comma] * nodes +
+    [tail]."""
+    return re.compile("".join(
+        gap + (f"(?P<{name}>{p.pattern})" if name in ("id", "thickness")
+               else f"(?:{p.pattern})")
+        for name, p, _ in _PIECES) + f"(?P<closes>{closes})(?P<comma>,?)")
+
+
+# A node with spaces or tabs between any two of its tokens, and the same node
+# without them, which the split uses: the optional gaps cost a probe each.
+_NODE = _node_pattern(_WS.pattern, r"[ \t)]*")
+_TIGHT_NODE = _node_pattern("", r"\)*")
 
 
 def _parse_body(body: str, at):
-    """Preorder ids, thicknesses and sizes of the tree in body; at() locates errors.
+    """Preorder ids, thicknesses, sizes and parents of the tree in body; at()
+    locates errors.
 
-    A body whose split pieces are not one well-formed tree goes to _walk_body.
+    The body is split by _TIGHT_NODE.  A body with spaces or tabs, or whose
+    pieces are not one well-formed tree, goes to _walk_body.
     """
-    parts = _NODE.split(body)
+    if " " in body or "\t" in body:
+        return _walk_body(body, at)
+    parts = _TIGHT_NODE.split(body)
     ids, thick, closes = parts[1::5], parts[2::5], parts[3::5]
     # no gap before a node nor after the tree, a ',' after every node but the
     # last, one ')' per node, and the body ends at the last of them
@@ -490,12 +510,14 @@ def _parse_body(body: str, at):
         thickness.insert(0, None)
     # With one ')' per node, closing more nodes than are open empties the
     # stack before the last node, which the loop rejects; otherwise the stack
-    # ends empty.
+    # ends empty.  The open node on top of the stack is each node's parent.
     size = [0] * len(ids)  # minus the child count while a node is open
+    parent = [-1] * len(ids)
     stack: list[int] = []
-    for j, n in enumerate(map(str.count, closes, repeat(")"))):
+    for j, n in enumerate(map(len, closes)):
         if stack:
-            size[stack[-1]] -= 1
+            parent[j] = p = stack[-1]
+            size[p] -= 1
         elif j:  # the tree closed before this node
             return _walk_body(body, at)
         stack.append(j)
@@ -505,12 +527,13 @@ def _parse_body(body: str, at):
                     return _walk_body(body, at)
                 size[i] = j + 1 - i
             del stack[-n:]
-    return ids, thickness, size
+    return ids, thickness, size, parent
 
 
 def _walk_body(body: str, at):
-    """Preorder ids, thicknesses and sizes of the tree in body; at() locates errors."""
-    ids, thickness, size = [], [], []
+    """Preorder ids, thicknesses, sizes and parents of the tree in body; at()
+    locates errors."""
+    ids, thickness, size, parent = [], [], [], []
     stack: list[int] = []  # unclosed nodes; size holds minus their child count
     pos = 0
     while True:
@@ -532,6 +555,7 @@ def _walk_body(body: str, at):
                 *at(m.start("thickness")))
         if stack:
             size[stack[-1]] -= 1
+        parent.append(stack[-1] if stack else -1)
         stack.append(len(ids))
         ids.append(node_id)
         thickness.append(t)
@@ -550,7 +574,7 @@ def _walk_body(body: str, at):
                 end = _close_at(m, k) + 1
                 if end < len(body):
                     raise SyntaxParseError("trailing input after tree expression", *at(end))
-                return ids, thickness, size
+                return ids, thickness, size, parent
         pos = m.end()
 
 

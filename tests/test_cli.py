@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import os
 import random
 import shutil
@@ -486,22 +488,25 @@ def test_text_readers_number_lines_at_line_ends_only(tmp_path, capsys, small_cor
 @pytest.mark.parametrize("command, bad", [
     ("scan", "tree"), ("render", "tree"), ("apply-edits", "tree"), ("stats", "tree"),
     ("apply-edits", "script"), ("stats", "covariates"), ("scan", "config"),
+    ("extract", "vess"),
 ])
 def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, small_corpus, command, bad):
     config = tmp_path / "detect.cfg"
     config.write_text("epsilon_mm = 0.3\n")
+    vess = tmp_path / "in.vess"
+    vess.write_text(MINIMAL_VESS)
     path = {"tree": sorted(small_corpus.glob("*.dltree"))[0],
             "script": small_corpus / "repairs.edits",
-            "covariates": small_corpus / "ages.tsv", "config": config}[bad]
+            "covariates": small_corpus / "ages.tsv", "config": config, "vess": vess}[bad]
     path.write_bytes(b"# \xff\n" + path.read_bytes())
     out = tmp_path / "out"
     argv = {"scan": ("--report", str(out / "r.tsv"), "--config", str(config)),
-            "render": ("--out-dir", str(out)),
+            "render": ("--out-dir", str(out)), "extract": ("--out-dir", str(out)),
             "apply-edits": ("--script", str(small_corpus / "repairs.edits"),
                             "--out-dir", str(out)),
             "stats": ("--covariates", str(small_corpus / "ages.tsv"),
                       "--out", str(out / "t.tsv"))}[command]
-    first = str(path if command == "render" else small_corpus)
+    first = str(path if command in ("render", "extract") else small_corpus)
     assert run(command, first, *argv) == EXIT_DATA_ERROR
     assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
     assert not out.exists()
@@ -603,20 +608,60 @@ def test_names_at_the_grammar_edges_pass_every_command(subject, node_ids, seed, 
         (tmp / "ages.tsv").write_text(f"subject\tage\n{subject}\t61.5000\n")
         assert _read_covariates(tmp / "ages.tsv") == {subject: 61.5}
         name = f"{subject}_{region.value}.dltree"
-        if len(name) > 255:  # past the file-name limit of common file systems
-            return
         vess, corpus = tmp / "in.vess", tmp / "corpus"
         vess.write_bytes(serialize_vess(random_vess_graph(rng, max_segments=8,
                                                           subject_id=subject, region=region)))
         corpus.mkdir()
         (corpus / "t.dltree").write_bytes(serialize_dltree(tree))
         (tmp / "fix.edits").write_text(format_script(back[-1:]))
-        assert run("extract", str(vess), "--out-dir", str(tmp / "trees")) == EXIT_OK
-        assert run("apply-edits", str(corpus), "--script", str(tmp / "fix.edits"),
-                   "--out-dir", str(tmp / "fixed")) == EXIT_OK
+        inputs = {Path("ages.tsv"), Path("in.vess"), Path("corpus/t.dltree"),
+                  Path("fix.edits")}
+        commands = (("extract", str(vess), "--out-dir", str(tmp / "trees")),
+                    ("apply-edits", str(corpus), "--script", str(tmp / "fix.edits"),
+                     "--out-dir", str(tmp / "fixed")))
+        if len(name) > 255:  # past the file-name limit of common file systems
+            for argv in commands:
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    assert run(*argv) == EXIT_DATA_ERROR
+                assert f"subject {subject!r} is too long to name an output file" in (
+                    err.getvalue())
+                assert "255-byte file-name limit" in err.getvalue()
+            assert {p.relative_to(tmp) for p in tmp.rglob("*") if p.is_file()} == inputs
+            return
+        for argv in commands:
+            assert run(*argv) == EXIT_OK
         written = {p.relative_to(tmp) for p in tmp.rglob("*") if p.is_file()}
-        assert written == {Path("ages.tsv"), Path("in.vess"), Path("corpus/t.dltree"),
-                           Path("fix.edits"), Path("trees") / name, Path("fixed") / name}
+        assert written == inputs | {Path("trees") / name, Path("fixed") / name}
+
+
+def test_a_subject_too_long_for_a_file_name_writes_nothing(tmp_path, capsys):
+    # a 247-character subject makes a 256-byte <subject>_B.dltree; extract and
+    # apply-edits once wrote the outputs before it, then stopped at errno 36
+    long = "a" * 247
+    short_vess, long_vess = tmp_path / "a.vess", tmp_path / "b.vess"
+    short_vess.write_text(MINIMAL_VESS)
+    long_vess.write_text(MINIMAL_VESS.replace("sub1", long))
+    assert run("extract", str(short_vess), str(long_vess),
+               "--out-dir", str(tmp_path / "trees")) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {long_vess}: subject {long!r} is too long to name an output file: "
+        f"'{long}_B.dltree' passes the 255-byte file-name limit\n")
+    assert not (tmp_path / "trees").exists()
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.dltree").write_text("HEADER sub1 B\n(n1:2.0,(n2:1.0),(n3:1.0))\n")
+    (corpus / "b.dltree").write_text(f"HEADER {long} B\n(n1:2.0,(n2:1.0),(n3:1.0))\n")
+    script = tmp_path / "fix.edits"
+    script.write_text("sub1 B DELETE_LEAF n2\n")
+    assert run("apply-edits", str(corpus), "--script", str(script),
+               "--out-dir", str(tmp_path / "fixed")) == EXIT_DATA_ERROR
+    assert "passes the 255-byte file-name limit" in capsys.readouterr().err
+    assert not (tmp_path / "fixed").exists()
+    # one character shorter fits
+    long_vess.write_text(MINIMAL_VESS.replace("sub1", long[1:]))
+    assert run("extract", str(long_vess), "--out-dir", str(tmp_path / "trees")) == EXIT_OK
+    assert [p.name for p in (tmp_path / "trees").iterdir()] == [f"{long[1:]}_B.dltree"]
 
 
 def test_outputs_get_the_mode_a_plain_open_gives(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -11,6 +12,7 @@ from dlview.core import (
     UnknownNodeError,
     VesselPoint,
     VesselSegment,
+    _with_parent,
 )
 
 from conftest import brute_descendants, random_binary_tree
@@ -27,6 +29,18 @@ def complete7():
     leaves = [BinaryNode(f"l{i}", 0.5) for i in range(4)]
     m = [BinaryNode(f"m{i}", 1.0, leaves[2 * i], leaves[2 * i + 1]) for i in range(2)]
     return BinaryTree("s", Region.BACK, BinaryNode("r", 2.0, m[0], m[1]))
+
+
+def test_a_handed_parent_list_is_the_cached_parent():
+    """_with_parent relies on parent being a non-data cached_property: a
+    plain property, slot or field would refuse the list or go stale."""
+    assert isinstance(BinaryTree.__dict__["parent"], functools.cached_property)
+    t = complete7()
+    derived = BinaryTree("s", Region.BACK, ids=t.ids, thickness=t.thickness,
+                         size=t.size).parent
+    handed = list(derived)
+    assert _with_parent(t, handed) is t and t.parent is handed
+    assert t.level == [0, 1, 2, 2, 1, 2, 2]
 
 
 def test_leaf_has_no_descendants():

@@ -4,11 +4,13 @@ import random
 import re
 import sys
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dlview import ingest
 from dlview.core import BinaryTree, Region
 from dlview.detect import flags_from_tsv, flags_to_tsv, scan_tree
 from dlview.edit import apply_script, parse_script
@@ -395,9 +397,41 @@ def _outcome(parse, body):
 @example("(r:1,(a:1)))")  # one ')' too many
 @example("(r:1,(a:1))),(b:1,(c:1)")  # one ')' too many, one too few
 @example("(r:1.0,(a:1.0),(b:1.0),(c:1.0))")
+@example("(a b:1)")  # a space inside an id
+@example("(a:1 .5)")  # a space inside a number
+@example("(a:1. 5)")
+@example(" (a:1)")  # a leading space
+@example("(r:1,(a:1)\t)")  # a tab between closes
+@example("(a:1 \u0663)")  # a space before a non-ASCII digit
+@example("(a:1. \u0665)")
 def test_split_parse_matches_the_node_walker(body):
     """The one-split parse returns the walker's lists, or the walker's own error."""
     assert _outcome(_parse_body, body) == _outcome(_walk_body, body)
+
+
+_TOKEN = re.compile(r"[A-Za-z0-9.+~_-]+|.")  # an id, a number or '_', or one character
+
+
+@st.composite
+def spaced_bodies(draw):
+    """(body, the body with a run of spaces and tabs, maybe empty, drawn for
+    every boundary between two tokens, between two ')'s too)."""
+    body = draw(tree_bodies())
+    tokens = _TOKEN.findall(body)
+    gaps = draw(st.lists(st.text(" \t", max_size=3), min_size=len(tokens) - 1,
+                         max_size=len(tokens) - 1))
+    return body, "".join(map(str.__add__, tokens, gaps)) + tokens[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spaced_bodies())
+def test_spaces_and_tabs_between_tokens_read_as_the_body_without_them(case):
+    """A body with spaces or tabs between its tokens gives the walker's lists
+    and parents, the same as for the body without them."""
+    body, spaced = case
+    located = lambda pos: (1, pos + 1)
+    assert _parse_body(spaced, located) == _walk_body(spaced, located) == (
+        _walk_body(body, located))
 
 
 # Numbers outside the grammar (".5", "1.", "1e5", "+1"), zeros, and digit runs
@@ -640,6 +674,16 @@ def test_every_tree_the_parser_accepts_passes_every_stage(case, data):
     assert not past
     assert first == _rounded(tree)
     assert serialize_dltree(first).decode() == text
+    # the parse hands its parents to the tree, on the split and walker paths
+    with mock.patch.object(ingest, "_parse_body", _walk_body):
+        walked = parse_dltree(text)
+    twin = BinaryTree("s", Region.BACK, ids=first.ids, thickness=first.thickness,
+                      size=first.size)
+    for parsed in (first, walked):
+        assert parsed == twin and "parent" in vars(parsed)
+        assert parsed.parent == twin.parent
+        assert scan_tree(parsed) == scan_tree(twin)
+        assert build_layout(parsed) == build_layout(twin)
 
     flags = scan_tree(first)
     assert [(f.kind, f.node_id) for f in flags_from_tsv(flags_to_tsv(flags))] == [
