@@ -137,7 +137,7 @@ def _detector_config(cfg: dict[str, int | float], args) -> DetectorConfig:
 
 def cmd_extract(args) -> int:
     out_dir = Path(args.out_dir)
-    outputs = []  # every input is read and named before anything is written
+    outputs = {}  # every input is read and named before anything is written
     for path in map(Path, args.inputs):
         text = _read_text(path)
         try:
@@ -145,8 +145,11 @@ def cmd_extract(args) -> int:
             name = _tree_filename(tree)
         except (ValueError, DataError) as e:  # a ParseError, a graph extraction
             raise DataError(f"{path}: {e}")   # rejects, or a name too long
-        outputs.append((out_dir / name, ingest.serialize_dltree(tree)))
-    for target, data in outputs:
+        target = out_dir / name
+        first, _ = outputs.setdefault(target, (path, ingest.serialize_dltree(tree)))
+        if first is not path:
+            raise DataError(f"{first} and {path} both extract to {target}")
+    for target, (_, data) in outputs.items():
         _write_atomic(target, data)
     return EXIT_OK
 

@@ -112,7 +112,11 @@ class VesselSegment(_Segment):
 
 @dataclass(frozen=True)
 class RawVesselGraph:
-    """Forest of vessel segments for one subject/region."""
+    """Forest of vessel segments for one subject/region.
+
+    Each parent's children are listed once, at construction, sorted by
+    `_id_sort_key`; most parents have one child and need no sort.
+    """
 
     subject_id: str
     region: Region
@@ -124,9 +128,10 @@ class RawVesselGraph:
         children: dict[str, list[str]] = {}
         for p, c in self.edges:
             children.setdefault(p, []).append(c)
-        object.__setattr__(self, "_children", {
-            p: tuple(sorted(kids, key=_id_sort_key)) for p, kids in children.items()
-        })
+        for kids in children.values():
+            if len(kids) > 1:
+                kids.sort(key=_id_sort_key)
+        object.__setattr__(self, "_children", {p: tuple(kids) for p, kids in children.items()})
         object.__setattr__(self, "_validated", False)
 
     def children_of(self, sid: str) -> tuple[str, ...]:

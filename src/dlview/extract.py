@@ -1,7 +1,10 @@
 """Turn a raw vessel graph into one binary component tree.
 
 Each maximal unary chain of segments collapses to a single trunk node whose
-thickness is twice the median radius over all points of the chain.  Splits
+thickness is twice the median radius over all points of the chain.  The
+median is statistics.median's own: the chain's radii are pooled into one
+list and sorted in place, and an even count takes (a + b) / 2 of the middle
+two, which keeps a pair of subnormal radii from halving to zero first.  Splits
 into three or more child vessels become right-leaning combs of binary splits
 (children ordered by segment id; zero-length synthetic trunks inherit the
 parent trunk's thickness).  Two root vessels are joined under a phantom root
@@ -11,7 +14,7 @@ with no thickness of its own.
 from __future__ import annotations
 
 import math
-import statistics
+from operator import itemgetter
 
 from .core import BinaryTree, RawVesselGraph, _id_sort_key, subtree_sizes
 
@@ -33,6 +36,8 @@ def extract_binary_tree(graph: RawVesselGraph) -> BinaryTree:
         stack = [(-1, roots[0], 0, None, None)]
     else:
         stack = [(-1, "", 0, None, roots)]
+    segments, children_of = graph.segments, graph.children_of
+    radius = itemgetter(3)
     while stack:
         p, head, step, t, kids = stack.pop()
         if kids is None:
@@ -40,12 +45,14 @@ def extract_binary_tree(graph: RawVesselGraph) -> BinaryTree:
             radii: list[float] = []
             cur = head
             while True:
-                radii.extend(pt.radius for pt in graph.segments[cur].points)
-                kids = graph.children_of(cur)
+                radii += map(radius, segments[cur].points)
+                kids = children_of(cur)
                 if len(kids) != 1:
                     break
                 cur = kids[0]
-            t = 2.0 * statistics.median(radii)
+            radii.sort()
+            m = len(radii) // 2
+            t = 2.0 * (radii[m] if len(radii) % 2 else (radii[m - 1] + radii[m]) / 2)
             if t == math.inf:
                 raise ValueError(f"trunk {head!r} is too thick: twice its median "
                                  "radius is out of float range")

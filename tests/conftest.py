@@ -56,9 +56,10 @@ def brute_descendants(node: BinaryNode) -> int:
 
 def random_vess_graph(rng: random.Random, max_segments: int = 40,
                       subject_id: str = "g", region: Region = Region.LEFT,
-                      two_roots: bool | None = None) -> RawVesselGraph:
+                      two_roots: bool | None = None,
+                      min_segments: int = 1) -> RawVesselGraph:
     """Random forest of segments with occasional polyfurcations."""
-    n = rng.randint(1, max_segments)
+    n = rng.randint(min_segments, max_segments)
     if two_roots is None:
         two_roots = n >= 2 and rng.random() < 0.3
     n_roots = 2 if two_roots else 1

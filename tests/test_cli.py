@@ -129,6 +129,18 @@ def test_render_rejects_inputs_with_one_output_name(tmp_path, capsys):
     assert not svg_dir.exists()
 
 
+def test_extract_rejects_inputs_with_one_output_name(tmp_path, capsys):
+    one, two = tmp_path / "a.vess", tmp_path / "b.vess"
+    for path, radius in ((one, 1), (two, 2)):
+        path.write_text(f"HEADER s B\nPOINT p1 0 0 0 {radius}\nPOINT p2 1 0 0 {radius}\n"
+                        "SEGMENT 1 p1 p2\nROOT 1\n")
+    out = tmp_path / "out"
+    assert run("extract", str(one), str(two), "--out-dir", str(out)) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {one} and {two} both extract to {out / 's_B.dltree'}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("size, problem", [
     (("--width", "100"), "--width 100 leaves no room to plot"),
     (("--width", "280"), "the minimum is 281"),

@@ -3,15 +3,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlview.core import (
     BinaryNode,
     BinaryTree,
+    RawVesselGraph,
     Region,
     TreeError,
     UnknownNodeError,
     VesselPoint,
     VesselSegment,
+    _id_sort_key,
     _with_parent,
 )
 
@@ -155,3 +159,15 @@ def test_repr_eq_hash_of_a_deep_chain():
     assert a == b and hash(a) == hash(b)
     assert a != chain(9_999)
     assert repr(a).startswith("BinaryTree(subject_id='s', region=<Region.BACK: 'B'>, ids=(")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(("1", "2", "9", "10", "a", "B", "a1", "10a", "x~1")),
+                min_size=2, max_size=4, unique=True))
+def test_children_are_sorted_by_id(kids):
+    """Numeric ids in numeric order, then the others in string order."""
+    point = VesselPoint(0.0, 0.0, 0.0, 1.0)
+    segments = {sid: VesselSegment(sid, (point, point)) for sid in ["p", *kids]}
+    g = RawVesselGraph("s", Region.BACK, segments, frozenset(("p", k) for k in kids), ("p",))
+    assert g.children_of("p") == tuple(sorted(kids, key=_id_sort_key))
+    assert all(g.children_of(k) == () for k in kids)

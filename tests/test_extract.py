@@ -1,6 +1,10 @@
 import random
+import statistics
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dlview.core import (
     RawVesselGraph,
@@ -51,6 +55,43 @@ def test_chain_thickness_is_twice_pooled_median():
     g = graph([seg("A", 0.5, 0.5), seg("B", 0.3, 0.3)], [("A", "B")], ["A"])
     t = extract_binary_tree(g)
     assert t.root.thickness == pytest.approx(0.8)  # 2 * median(.5,.5,.3,.3)
+
+
+# radii that repeat, sit at the subnormal end, or come near the float maximum
+_RADII = st.sampled_from((5e-324, 1e-310, 2.5e-308, 0.25, 0.5, 1.0, 1.0 + 2**-52, 3.0,
+                          sys.float_info.max / 3, sys.float_info.max / 2,
+                          sys.float_info.max))
+# a unary chain: the radii of each of its segments
+_CHAINS = st.lists(st.lists(_RADII, min_size=2, max_size=4), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CHAINS, st.sampled_from((0, 2, 3)).flatmap(
+    lambda k: st.lists(_CHAINS, min_size=k, max_size=k)))
+def test_each_trunk_is_twice_the_median_of_its_chains_radii(root, below):
+    """A root chain that splits into zero, two or three chains: each trunk's
+    thickness is 2 * statistics.median of the radii its chain pools, or the
+    first trunk in preorder whose double is infinite is too thick."""
+    heads = ["r0"] + [f"c{j}_0" for j in range(len(below))]
+    segments, edges, chains = [], [], {}
+    for head, chain in zip(heads, [root] + below):
+        sids = [f"{head[:-1]}{i}" for i in range(len(chain))]
+        segments += [seg(sid, *radii) for sid, radii in zip(sids, chain)]
+        edges += zip(sids, sids[1:])
+        if head != "r0":
+            edges.append((f"r{len(root) - 1}", head))
+        chains[head] = [r for radii in chain for r in radii]
+    g = graph(segments, edges, ["r0"])
+    expected = {head: 2 * statistics.median(radii) for head, radii in chains.items()}
+    too_thick = [head for head, t in expected.items() if t == float("inf")]
+    if too_thick:
+        with pytest.raises(ValueError) as e:
+            extract_binary_tree(g)
+        assert str(e.value) == (f"trunk {too_thick[0]!r} is too thick: twice its median "
+                                "radius is out of float range")
+        return
+    t = extract_binary_tree(g)
+    assert {head: t.thickness[t.position(head)] for head in heads} == expected
 
 
 def comb_order(node):

@@ -529,8 +529,24 @@ def _vess_outcome(parse, text):
         return type(e), str(e), e.line
 
 
+# tokens float() reads that are outside the number grammar, or that neither
+# reads, and Arabic-Indic digits, which both read
+_FLOAT_EDGES = ("1_0", "+1", "1e5", "1E5", "inf", "iNf", "nan", "Infinity", ".5", "5.",
+                "-.5", "-", "1-2", "--1", "1.2.3", "\u0661\u0662", "\u0663.\u0664")
+
+
+def _float_edge_examples(test):
+    """The test with each _FLOAT_EDGES token as an example, once as a
+    coordinate and once as a radius."""
+    for tok in _FLOAT_EDGES:
+        for record in (f"POINT p2 {tok} 0 0 1", f"POINT p2 1 0 0 {tok}"):
+            test = example(_V2.replace("POINT p2 1 0 0 1", record))(test)
+    return test
+
+
 @settings(max_examples=400, deadline=None)
 @given(vess_files())
+@_float_edge_examples
 @example(_V2.replace("p1", "POINT"))
 @example(_V2.replace("POINT p1 0", "POINT p1 .5"))
 @example(_V2.replace("CONNECT 1 2\n", "CONNECT 1 2\nCONNECT 2 1\n"))
@@ -600,6 +616,79 @@ def test_column_read_takes_a_file_in_another_order():
         text = "\n".join(interleaved) + "\n"
         graph = _read_vess(text)
         assert graph is not None and graph == _walk_vess(text)
+
+
+def _use_above_definition(use: str, definition: str, pad: int = 0) -> str:
+    """_V2 with `use` moved right above `definition`, after `pad` comment lines."""
+    lines = _V2.splitlines()
+    lines.remove(use)
+    at = lines.index(definition)
+    return "\n".join(["# c"] * pad + lines[:at] + [use] + lines[at:]) + "\n"
+
+
+@pytest.mark.parametrize("use, definition", [
+    ("SEGMENT 1 p1 p2", "POINT p2 1 0 0 1"),
+    ("CONNECT 1 2", "SEGMENT 2 p1 p2"),
+    ("ROOT 1", "SEGMENT 1 p1 p2"),
+])
+@pytest.mark.parametrize("boundary", [False, True])
+def test_an_id_used_above_its_definition_goes_to_the_walker(use, definition, boundary):
+    """In one block, or on the last line of a block above a definition on the
+    next block's first line."""
+    pad = 0
+    if boundary:
+        pad = _BLOCK - 1 - _use_above_definition(use, definition).splitlines().index(use)
+    text = _use_above_definition(use, definition, pad)
+    use_at = text.splitlines().index(use)
+    assert use_at // _BLOCK == 0 and (use_at + 1) // _BLOCK == boundary
+    assert _read_vess(text) is None
+    walker = _vess_outcome(_walk_vess, text)
+    assert walker[0] is DanglingReferenceError and walker[2] == use_at + 1
+    assert _vess_outcome(parse_vess, text) == walker
+
+
+def _defined_just_in_time(records: list[str], rng: random.Random) -> list[str]:
+    """serialize_vess records reordered so that each record comes right
+    after the last definition it needs: a SEGMENT after its last POINT, a
+    CONNECT after its later SEGMENT, a ROOT after its SEGMENT; the HEADER
+    goes anywhere."""
+    header, *rest = records
+    points, segments, order = {}, {}, {}
+    after: dict[str, list[str]] = {}  # a record -> the records that wait for it
+    for record in rest:  # POINTs, then SEGMENTs, then CONNECTs and ROOTs
+        kind, sid, *ids = record.split()
+        if kind == "POINT":
+            points[sid] = record
+            continue
+        if kind == "SEGMENT":
+            segments[sid], order[sid] = record, len(order)
+            last = points[ids[-1]]
+        else:
+            last = segments[max([sid, *ids], key=order.__getitem__)]
+        after.setdefault(last, []).append(record)
+    out: list[str] = []
+
+    def put(record):
+        out.append(record)
+        for waiting in after.get(record, ()):
+            put(waiting)
+
+    for record in points.values():
+        put(record)
+    out.insert(rng.randint(0, len(out)), header)
+    return out
+
+
+def test_column_read_takes_large_files_whose_blocks_mix_kinds():
+    rng = random.Random(19)
+    for _ in range(3):
+        graph = random_vess_graph(rng, max_segments=2500, min_segments=2000)
+        text = serialize_vess(graph).decode()
+        mixed = "\n".join(_defined_just_in_time(text.splitlines(), rng)) + "\n"
+        lines = mixed.splitlines()
+        kinds = [{r.split()[0] for r in lines[b:b + _BLOCK]} for b in range(0, len(lines), _BLOCK)]
+        assert all(len(block) >= 3 for block in kinds)
+        assert _read_vess(mixed) == _read_vess(text) == graph
 
 
 # ids at the id grammar's edges; and a prefix or suffix outside the grammar,
