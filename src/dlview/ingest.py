@@ -14,17 +14,15 @@ may sit between tokens, and errors give the file's own line and column):
 
 A .vess file holds exactly one HEADER, and its records may come in any
 order as long as every id is defined before a record uses it.  It is read as
-record columns: records are split into tokens a block at a time, and each
-block's records of one kind are taken together, whatever their order.  A
-block's numbers are checked against the number grammar by a few substring
-scans and converted with one map(float, ...) (_read_numbers); the ids its
-records use must be defined in an earlier block or above them in the block,
-which takes one comparison when all of the block's definitions come before
-its uses.  No repeated ids, one parent per child, no cycles and the roots
-are checked on whole sets and by RawVesselGraph.validate.  The line walker,
-which reads one record at a time, runs only when one of those checks fails:
-it accepts exactly the files the column read accepts, and raises the located
-error.
+record columns: records are split into tokens a block at a time and taken in
+file order, a run of one kind at a time; each run's numbers are checked
+against the number grammar by a few substring scans and converted with one
+map(float, ...) (_read_numbers), and its ids are checked against the points
+or segments read before it.  No repeated ids, one parent per child, no cycles
+and the roots are checked on whole sets and by RawVesselGraph.validate.  The
+line walker, which reads one record at a time, runs only when one of those
+checks fails: it accepts exactly the files the column read accepts, and
+raises the located error.
 
 Errors in either format name the file's line, counted at \\n, \\r\\n and \\r
 only.  Records are still the str.splitlines pieces, so a record after a form
@@ -46,7 +44,7 @@ import math
 import re
 from itertools import chain, count, filterfalse, groupby, repeat
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Union
 
 from .core import (
     BinaryTree,
@@ -163,9 +161,7 @@ _BLOCK = 512  # records split into tokens at a time
 # Segment ids joined by " " with a trailing " ".
 _IDS = re.compile(f"(?:(?:{_ID_RE.pattern}) )*")
 # Text that float() reads in a token outside _NUM_RE; see _read_numbers.
-_NOT_NUMS = ("+", "_", "e", "E", "i", "I", "n", "N", " .", ". ", "-.")
-_KINDS = {"HEADER", "POINT", "SEGMENT", "CONNECT", "ROOT"}
-_NONE = ((), ())  # no positions, no records
+_NOT_NUMS = ("+", "_", "e", "E", "n", "N", " .", ". ", "-.")
 
 
 def _read_numbers(nums: list[str]) -> Optional[list[float]]:
@@ -174,8 +170,9 @@ def _read_numbers(nums: list[str]) -> Optional[list[float]]:
     float() reads every -?\\d+(?:\\.\\d+)? token, and beyond those only a
     '+' sign, a '_' between digits, an exponent, inf, infinity or nan in any
     case, and a '.' with no digit on one side.  In the tokens joined as
-    " " + " ".join(nums) + " ", the letters, signs and '_' show as themselves,
-    and a bare '.' as " .", ". " or "-.", so refusing those leaves exactly
+    " " + " ".join(nums) + " ", the signs, '_' and exponent letters show as
+    themselves, every inf, infinity and nan spelling holds an 'n' or 'N', and
+    a bare '.' shows as " .", ". " or "-.", so refusing those leaves exactly
     the _NUM_RE tokens.  \\d and float() take the same Unicode decimal digits
     (Py_UNICODE_ISDECIMAL and Py_UNICODE_TODECIMAL).
     """
@@ -188,30 +185,15 @@ def _read_numbers(nums: list[str]) -> Optional[list[float]]:
         return None
 
 
-def _defined_above(ids: Sequence[str], def_pos: Sequence[int], uses: Iterable,
-                   use_pos: Sequence[int]) -> bool:
-    """Whether each record at use_pos[k] sits below the record of its block
-    that defines each of uses[k], if its block defines it at all.
-
-    ids[j] is defined at def_pos[j].  Both positions ascend, so a block whose
-    definitions all come before its uses passes on one comparison.
-    """
-    if not def_pos or not use_pos or def_pos[-1] < use_pos[0]:
-        return True
-    at = dict(zip(ids, def_pos)).get
-    return all(max(map(at, used, repeat(-1))) < q for used, q in zip(uses, use_pos))
-
-
 def _read_vess(text: str) -> Optional[RawVesselGraph]:
     """The graph in text, read as record columns; None if any check fails.
 
-    Records are split into tokens a block at a time, with comments and blank
-    lines anywhere, and each block's records of one kind are taken together,
-    whatever their order: its POINTs as one number column, its SEGMENTs as
-    one id column.  An id a record uses must be defined in an earlier block,
-    or above that record in its own block.  It reads exactly the files
-    _walk_vess accepts, into an equal graph; for any other file it returns
-    None.
+    Records are split into tokens a block at a time and taken in file order,
+    one run of records of one kind at a time, with comments and blank lines
+    anywhere.  Each run is checked as whole columns, and the ids it uses
+    against the points or segments read before it.  It reads exactly the
+    files _walk_vess accepts, into an equal graph; for any other file it
+    returns None.
     """
     records = text.splitlines()
     comments = "#" in text
@@ -226,73 +208,60 @@ def _read_vess(text: str) -> Optional[RawVesselGraph]:
         block = list(filter(None, map(str.split, records[b:b + _BLOCK])))
         if comments:
             block = [toks for toks in block if toks[0][0] != "#"]
-        if not block:
-            continue
-        kinds = list(map(itemgetter(0), block))
-        if kinds.count(kinds[0]) == len(kinds):  # one kind, as in most blocks
-            at = {kinds[0]: (range(len(block)), block)}
-        else:  # each kind's positions, ascending, and its records
-            at = {}
-            for kind, pos in groupby(sorted(range(len(block)), key=kinds.__getitem__),
-                                     kinds.__getitem__):
-                pos = list(pos)
-                at[kind] = pos, list(map(block.__getitem__, pos))
-        if not at.keys() <= _KINDS:
-            return None
-        if "HEADER" in at:
-            _, group = at["HEADER"]
-            if (header is not None or len(group) != 1 or len(group[0]) != 3
-                    or not _SUBJECT_RE.fullmatch(group[0][1])):
+        for kind, group in groupby(block, itemgetter(0)):
+            group = list(group)
+            lengths = set(map(len, group))
+            if kind == "HEADER":
+                if (header is not None or len(group) != 1 or lengths != {3}
+                        or not _SUBJECT_RE.fullmatch(group[0][1])):
+                    return None
+                header = group[0]
+            elif kind == "POINT":
+                if lengths != {6}:
+                    return None
+                _, pids, *columns = zip(*group)
+                values = _read_numbers(list(chain.from_iterable(columns)))
+                if values is None:
+                    return None
+                n = len(group)
+                radii = values[3 * n:]
+                if not (min(radii) > 0.0 and -math.inf < min(values)
+                        and max(values) < math.inf):
+                    return None
+                rows = zip(values[:n], values[n:2 * n], values[2 * n:3 * n], radii)
+                points.update(zip(pids, map(tuple.__new__, repeat(VesselPoint), rows)))
+                n_points += n
+            elif kind == "SEGMENT":
+                if min(lengths) < 4:
+                    return None
+                sids = list(map(itemgetter(1), group))
+                if not _IDS.fullmatch(" ".join(sids) + " "):
+                    return None
+                point = points.__getitem__
+                try:
+                    pts = [tuple(map(point, toks[2:])) for toks in group]
+                except KeyError:
+                    return None
+                segments.update(zip(sids, map(tuple.__new__, repeat(VesselSegment),
+                                              zip(sids, pts))))
+                n_segments += len(group)
+            elif kind == "CONNECT":
+                if lengths != {3}:
+                    return None
+                _, ps, cs = zip(*group)
+                if not segments.keys() >= {*ps, *cs}:
+                    return None
+                parents += ps
+                children += cs
+            elif kind == "ROOT":
+                if lengths != {2}:
+                    return None
+                _, rs = zip(*group)
+                if not segments.keys() >= set(rs):
+                    return None
+                roots += rs
+            else:
                 return None
-            header = group[0]
-        point_pos, group = at.get("POINT", _NONE)
-        pids: Sequence[str] = ()
-        if point_pos:
-            if set(map(len, group)) != {6}:
-                return None
-            _, pids, *columns = zip(*group)
-            values = _read_numbers(list(chain.from_iterable(columns)))
-            if values is None:
-                return None
-            n = len(group)
-            radii = values[3 * n:]
-            if not (min(radii) > 0.0 and -math.inf < min(values)
-                    and max(values) < math.inf):
-                return None
-            rows = zip(values[:n], values[n:2 * n], values[2 * n:3 * n], radii)
-            points.update(zip(pids, map(tuple.__new__, repeat(VesselPoint), rows)))
-            n_points += n
-        segment_pos, group = at.get("SEGMENT", _NONE)
-        sids: Sequence[str] = ()
-        if segment_pos:
-            if min(map(len, group)) < 4:
-                return None
-            sids = list(map(itemgetter(1), group))
-            if not _IDS.fullmatch(" ".join(sids) + " "):
-                return None
-            point = points.__getitem__
-            try:
-                pts = [tuple(map(point, toks[2:])) for toks in group]
-            except KeyError:
-                return None
-            if not _defined_above(pids, point_pos, map(itemgetter(slice(2, None)), group),
-                                  segment_pos):
-                return None
-            segments.update(zip(sids, map(tuple.__new__, repeat(VesselSegment),
-                                          zip(sids, pts))))
-            n_segments += len(group)
-        for kind, width, columns in (("CONNECT", 3, (parents, children)), ("ROOT", 2, (roots,))):
-            pos, group = at.get(kind, _NONE)
-            if not pos:
-                continue
-            if set(map(len, group)) != {width}:
-                return None
-            _, *used = zip(*group)
-            if not (segments.keys() >= set(chain.from_iterable(used))
-                    and _defined_above(sids, segment_pos, zip(*used), pos)):
-                return None
-            for column, ids in zip(columns, used):
-                column += ids
     # validate() finds a repeated root, a root with a parent and a cycle; the
     # edge set would hide a repeated CONNECT, so children are counted.
     if (header is None or len(points) != n_points or len(segments) != n_segments

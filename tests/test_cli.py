@@ -129,8 +129,10 @@ def test_render_rejects_inputs_with_one_output_name(tmp_path, capsys):
     assert not svg_dir.exists()
 
 
-def test_extract_rejects_inputs_with_one_output_name(tmp_path, capsys):
-    one, two = tmp_path / "a.vess", tmp_path / "b.vess"
+@pytest.mark.parametrize("second", ["b.vess", "a.vess"])
+def test_extract_rejects_inputs_with_one_output_name(tmp_path, capsys, second):
+    """Two files with one HEADER, or one file named twice."""
+    one, two = tmp_path / "a.vess", tmp_path / second
     for path, radius in ((one, 1), (two, 2)):
         path.write_text(f"HEADER s B\nPOINT p1 0 0 0 {radius}\nPOINT p2 1 0 0 {radius}\n"
                         "SEGMENT 1 p1 p2\nROOT 1\n")

@@ -531,7 +531,7 @@ def _vess_outcome(parse, text):
 
 # tokens float() reads that are outside the number grammar, or that neither
 # reads, and Arabic-Indic digits, which both read
-_FLOAT_EDGES = ("1_0", "+1", "1e5", "1E5", "inf", "iNf", "nan", "Infinity", ".5", "5.",
+_FLOAT_EDGES = ("1_0", "+1", "1e5", "1E5", "inf", "iNf", "nan", "NaN", "Infinity", ".5", "5.",
                 "-.5", "-", "1-2", "--1", "1.2.3", "\u0661\u0662", "\u0663.\u0664")
 
 
