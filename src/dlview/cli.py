@@ -308,7 +308,7 @@ def cmd_stats(args) -> int:
     _write_atomic(Path(args.out),
                   stats.comparison_to_tsv(primary, baseline).encode("utf-8"))
     if summary is not None:
-        _write_atomic(Path(args.summary_out or "flag_summary.tsv"),
+        _write_atomic(Path(args.summary_out),
                       stats.summary_to_tsv(summary).encode("utf-8"))
     return EXIT_OK
 
@@ -380,12 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "stats" and (args.flags is None) != (args.summary_out is None):
+        parser.error("stats --flags needs --summary-out" if args.summary_out is None
+                     else "stats --summary-out needs --flags")
     try:
         return args.func(args)
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    except (OSError, ValueError) as e:
+    except (DataError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

@@ -1,6 +1,7 @@
 """Shared domain types for vessel graphs and the binary component trees.
 
-Everything here is immutable after construction; tree edits build new trees.
+Everything here is immutable after construction and checked by it; tree
+edits build new trees.
 
 A BinaryTree is three preorder tuples: node ids, thicknesses and subtree
 sizes (size[i] counts the nodes under node i, itself included).  Nodes are
@@ -112,10 +113,11 @@ class VesselSegment(_Segment):
 
 @dataclass(frozen=True)
 class RawVesselGraph:
-    """Forest of vessel segments for one subject/region.
+    """Forest of vessel segments for one subject/region, checked when built.
 
-    Each parent's children are listed once, at construction, sorted by
-    `_id_sort_key`; most parents have one child and need no sort.
+    Construction raises ValueError unless `validate` passes, and lists each
+    parent's children once, sorted by `_id_sort_key`; most parents have one
+    child and need no sort.
     """
 
     subject_id: str
@@ -132,52 +134,41 @@ class RawVesselGraph:
             if len(kids) > 1:
                 kids.sort(key=_id_sort_key)
         object.__setattr__(self, "_children", {p: tuple(kids) for p, kids in children.items()})
-        object.__setattr__(self, "_validated", False)
+        self.validate()
 
     def children_of(self, sid: str) -> tuple[str, ...]:
         """Child segment ids, sorted by id."""
         return self._children.get(sid, ())
 
     def validate(self) -> None:
-        """Raise ValueError unless the edges form a forest under `roots`.
-
-        A graph that passed once is not checked again.
-        """
-        if self._validated:
-            return
-        parent: dict[str, str] = {}
-        for p, c in self.edges:
-            if p not in self.segments or c not in self.segments:
-                raise ValueError(f"edge ({p}, {c}) references unknown segment")
-            if c in parent:
-                raise ValueError(f"segment {c!r} has more than one parent")
-            parent[c] = p
+        """Raise ValueError unless the edges form a forest under `roots`: one
+        walk from the roots reaches each declared segment once and no other
+        id, and every edge parent is declared.  A second parent, a repeated
+        root or a root with a parent is reached twice or leaves a parent
+        unreached; a cycle is unreached."""
         if not self.roots:
             raise ValueError("graph has no roots")
-        for r in self.roots:
-            if r not in self.segments:
-                raise ValueError(f"root {r!r} is not a declared segment")
-            if r in parent:
-                raise ValueError(f"root {r!r} has a parent")
-        # cycle + reachability: every segment reachable from exactly one root
         seen: set[str] = set()
-        for r in self.roots:
-            stack = [r]
-            while stack:
-                s = stack.pop()
-                if s in seen:
-                    raise ValueError(f"segment {s!r} reachable twice (cycle or shared)")
-                seen.add(s)
-                stack.extend(self._children.get(s, ()))
-        unreachable = set(self.segments) - seen
-        if unreachable:
-            raise ValueError(f"segments not reachable from any root: {sorted(unreachable)}")
-        object.__setattr__(self, "_validated", True)
+        stack = list(self.roots)
+        while stack:
+            s = stack.pop()
+            if s in seen:
+                raise ValueError(f"segment {s!r} reachable twice (cycle or shared)")
+            seen.add(s)
+            stack += self._children.get(s, ())
+        unknown = seen.union(self._children).difference(self.segments)
+        if unknown:
+            raise ValueError(f"undeclared segments: {sorted(unknown)}")
+        if len(seen) < len(self.segments):
+            raise ValueError("segments not reachable from any root: "
+                             f"{sorted(self.segments.keys() - seen)}")
 
 
 def _id_sort_key(sid: str):
-    # numeric ids sort numerically, everything else lexicographically after
-    return (0, int(sid), "") if sid.isdigit() else (1, 0, sid)
+    # numeric ids sort numerically, ties (7, 07, 007) by the id string, and
+    # everything else lexicographically after; isdecimal, not isdigit, since
+    # int() refuses digits such as "²"
+    return (0, int(sid), sid) if sid.isdecimal() else (1, 0, sid)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ median is statistics.median's own: the chain's radii are pooled into one
 list and sorted in place, and an even count takes (a + b) / 2 of the middle
 two, which keeps a pair of subnormal radii from halving to zero first.  Splits
 into three or more child vessels become right-leaning combs of binary splits
-(children ordered by segment id; zero-length synthetic trunks inherit the
-parent trunk's thickness).  Two root vessels are joined under a phantom root
-with no thickness of its own.
+(children in the graph's total id order, `RawVesselGraph.children_of`;
+zero-length synthetic trunks inherit the parent trunk's thickness).  Two root
+vessels, in the same order, are joined under a phantom root with no thickness
+of its own.  The graph checked its forest rules when it was built, so a tree
+is extracted without checking them again.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ from .core import BinaryTree, RawVesselGraph, _id_sort_key, subtree_sizes
 
 
 def extract_binary_tree(graph: RawVesselGraph) -> BinaryTree:
-    if not graph.segments:
-        raise ValueError("cannot extract a tree from an empty graph")
-    graph.validate()
     roots = sorted(graph.roots, key=_id_sort_key)
     if len(roots) > 2:
         raise ValueError(

@@ -18,11 +18,11 @@ record columns: records are split into tokens a block at a time and taken in
 file order, a run of one kind at a time; each run's numbers are checked
 against the number grammar by a few substring scans and converted with one
 map(float, ...) (_read_numbers), and its ids are checked against the points
-or segments read before it.  No repeated ids, one parent per child, no cycles
-and the roots are checked on whole sets and by RawVesselGraph.validate.  The
-line walker, which reads one record at a time, runs only when one of those
-checks fails: it accepts exactly the files the column read accepts, and
-raises the located error.
+or segments read before it.  No repeated ids and one parent per child are
+checked on whole sets, and the roots and cycles by the graph, which checks
+itself when it is built.  The line walker, which reads one record at a
+time, runs only when one of those checks fails: it accepts exactly the files
+the column read accepts, and raises the located error.
 
 Errors in either format name the file's line, counted at \\n, \\r\\n and \\r
 only.  Records are still the str.splitlines pieces, so a record after a form
@@ -191,9 +191,9 @@ def _read_vess(text: str) -> Optional[RawVesselGraph]:
     Records are split into tokens a block at a time and taken in file order,
     one run of records of one kind at a time, with comments and blank lines
     anywhere.  Each run is checked as whole columns, and the ids it uses
-    against the points or segments read before it.  It reads exactly the
-    files _walk_vess accepts, into an equal graph; for any other file it
-    returns None.
+    against the points or segments read before it; the forest rules are
+    checked when the graph is built.  It reads exactly the files _walk_vess
+    accepts, into an equal graph; for any other file it returns None.
     """
     records = text.splitlines()
     comments = "#" in text
@@ -262,27 +262,16 @@ def _read_vess(text: str) -> Optional[RawVesselGraph]:
                 roots += rs
             else:
                 return None
-    # validate() finds a repeated root, a root with a parent and a cycle; the
-    # edge set would hide a repeated CONNECT, so children are counted.
+    # the graph's own check finds a repeated root, a root with a parent and a
+    # cycle; the edge set would hide a repeated CONNECT, so children are counted.
     if (header is None or len(points) != n_points or len(segments) != n_segments
             or len(set(children)) != len(children)):
         return None
     try:
-        region = Region.from_code(header[2])
+        return RawVesselGraph(header[1], Region.from_code(header[2]), segments,
+                              frozenset(zip(parents, children)), tuple(roots))
     except ValueError:
         return None
-    graph = RawVesselGraph(
-        subject_id=header[1],
-        region=region,
-        segments=segments,
-        edges=frozenset(zip(parents, children)),
-        roots=tuple(roots),
-    )
-    try:
-        graph.validate()
-    except ValueError:
-        return None
-    return graph
 
 
 def _walk_vess(text: Union[str, bytes]) -> RawVesselGraph:
@@ -378,18 +367,10 @@ def _walk_vess(text: Union[str, bytes]) -> RawVesselGraph:
 
     if subject_id is None or region is None:
         raise SyntaxParseError("missing HEADER record")
-    graph = RawVesselGraph(
-        subject_id=subject_id,
-        region=region,
-        segments=segments,
-        edges=frozenset(edges),
-        roots=tuple(roots),
-    )
     try:
-        graph.validate()
-    except ValueError as e:
+        return RawVesselGraph(subject_id, region, segments, frozenset(edges), tuple(roots))
+    except ValueError as e:  # no roots, or a segment no root reaches
         raise DanglingReferenceError(str(e))
-    return graph
 
 
 def _find_root(up: dict[str, str], sid: str) -> str:

@@ -81,10 +81,8 @@ def random_vess_graph(rng: random.Random, max_segments: int = 40,
         parent = attached[-1] if rng.random() < 0.4 else rng.choice(attached)
         edges.add((parent, sid))
         attached.append(sid)
-    graph = RawVesselGraph(subject_id, region, segments,
-                           frozenset(edges), tuple(sorted(roots, key=int)))
-    graph.validate()
-    return graph
+    return RawVesselGraph(subject_id, region, segments,
+                          frozenset(edges), tuple(sorted(roots, key=int)))
 
 
 def raw_graph_trunk_counts(graph: RawVesselGraph):

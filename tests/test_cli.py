@@ -418,6 +418,21 @@ def test_bad_flags_row_names_file_and_line(tmp_path, capsys, small_corpus, row, 
     assert not (tmp_path / "s.tsv").exists()
 
 
+@pytest.mark.parametrize("given, missing", [("--flags", "--summary-out"),
+                                            ("--summary-out", "--flags")])
+def test_stats_takes_flags_and_summary_out_together(tmp_path, capsys, monkeypatch,
+                                                    small_corpus, given, missing):
+    monkeypatch.chdir(tmp_path)  # where a default summary file would land
+    (tmp_path / "flags.tsv").write_text("subject\tregion\tkind\tnode\tseverity\n")
+    path = tmp_path / ("flags.tsv" if given == "--flags" else "s.tsv")
+    with pytest.raises(SystemExit) as exc:
+        run("stats", str(small_corpus), "--covariates", str(small_corpus / "ages.tsv"),
+            "--out", str(tmp_path / "t.tsv"), given, str(path))
+    assert exc.value.code == 2
+    assert f"stats {given} needs {missing}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "flags.tsv"]
+
+
 @pytest.mark.parametrize("row, problem", [
     ("s001 40.0", "bad covariate line 's001 40.0'"),
     ("s001\tforty", "bad covariate line 's001\\tforty'"),
@@ -493,8 +508,8 @@ def test_text_readers_number_lines_at_line_ends_only(tmp_path, capsys, small_cor
     argv = {"script": ("apply-edits", "--script", path, "--out-dir", out),
             "config": ("scan", "--config", path, "--report", out / "r.tsv"),
             "covariates": ("stats", "--covariates", path, "--out", out / "t.tsv"),
-            "flags": ("stats", "--covariates", small_corpus / "ages.tsv",
-                      "--out", out / "t.tsv", "--flags", path)}[reader]
+            "flags": ("stats", "--covariates", small_corpus / "ages.tsv", "--out", out / "t.tsv",
+                      "--flags", path, "--summary-out", out / "s.tsv")}[reader]
     assert run(argv[0], str(small_corpus), *map(str, argv[1:])) == EXIT_DATA_ERROR
     assert problem.format(path=path) in capsys.readouterr().err
 

@@ -15,7 +15,6 @@ from dlview.core import (
     UnknownNodeError,
     VesselPoint,
     VesselSegment,
-    _id_sort_key,
     _with_parent,
 )
 
@@ -161,13 +160,81 @@ def test_repr_eq_hash_of_a_deep_chain():
     assert repr(a).startswith("BinaryTree(subject_id='s', region=<Region.BACK: 'B'>, ids=(")
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from(("1", "2", "9", "10", "a", "B", "a1", "10a", "x~1")),
-                min_size=2, max_size=4, unique=True))
-def test_children_are_sorted_by_id(kids):
-    """Numeric ids in numeric order, then the others in string order."""
+def _graph(declared, edges, roots):
     point = VesselPoint(0.0, 0.0, 0.0, 1.0)
-    segments = {sid: VesselSegment(sid, (point, point)) for sid in ["p", *kids]}
-    g = RawVesselGraph("s", Region.BACK, segments, frozenset(("p", k) for k in kids), ("p",))
-    assert g.children_of("p") == tuple(sorted(kids, key=_id_sort_key))
+    return RawVesselGraph("s", Region.BACK,
+                          {sid: VesselSegment(sid, (point, point)) for sid in declared},
+                          frozenset(edges), tuple(roots))
+
+
+# numeric ids by value, equal values by the id string, then the others as
+# strings ("²" is a digit but not a decimal, so not numeric)
+ID_ORDER = ("1", "2", "007", "07", "7", "9", "10", "10a", "B", "a", "a1", "x~1", "²")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(ID_ORDER), min_size=2, max_size=4, unique=True))
+def test_children_are_sorted_by_id(kids):
+    """Numeric ids in numeric order, ties in string order, then the others in
+    string order."""
+    g = _graph(["p", *kids], (("p", k) for k in kids), ("p",))
+    assert g.children_of("p") == tuple(sorted(kids, key=ID_ORDER.index))
     assert all(g.children_of(k) == () for k in kids)
+
+
+@pytest.mark.parametrize("declared, edges, roots, problem", [
+    (("1",), (), (), "graph has no roots"),
+    (("1",), (), ("1", "x"), r"undeclared segments: \['x'\]"),
+    (("1",), (), ("1", "1"), "segment '1' reachable twice"),
+    (("1", "2"), (("1", "2"),), ("1", "2"), "segment '2' reachable twice"),
+    (("1", "2", "3"), (("1", "3"), ("2", "3")), ("1", "2"), "segment '3' reachable twice"),
+    (("1", "2", "3"), (("2", "3"), ("3", "2")), ("1",),
+     r"segments not reachable from any root: \['2', '3'\]"),
+    (("1", "2"), (("1", "2"), ("2", "2")), ("1",), "segment '2' reachable twice"),
+    (("1", "2"), (), ("1",), r"segments not reachable from any root: \['2'\]"),
+    (("1",), (("x", "1"),), ("1",), r"undeclared segments: \['x'\]"),
+    (("1",), (("1", "x"),), ("1",), r"undeclared segments: \['x'\]"),
+], ids=["no-roots", "undeclared-root", "repeated-root", "root-with-parent", "two-parents",
+        "2-cycle", "self-loop", "orphan", "unknown-edge-parent", "unknown-edge-child"])
+def test_a_graph_that_is_not_a_forest_cannot_be_built(declared, edges, roots, problem):
+    with pytest.raises(ValueError, match=problem):
+        _graph(declared, edges, roots)
+
+
+def _is_forest(declared, edges, roots):
+    """Independent oracle: roots are distinct declared segments without a
+    parent, every other declared segment has exactly one declared parent, and
+    following parents from any segment ends at a root."""
+    parents = {}
+    for p, c in edges:
+        if p not in declared or c not in declared or c in parents:
+            return False
+        parents[c] = p
+    if not roots or len(set(roots)) != len(roots) or not set(roots) <= set(declared):
+        return False
+    if set(parents) != set(declared) - set(roots):
+        return False
+    for sid in declared:
+        for _ in range(len(declared)):
+            if sid not in parents:
+                break
+            sid = parents[sid]
+        if sid not in roots:
+            return False
+    return True
+
+
+_IDS = st.sampled_from(("1", "2", "3", "4", "x"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(("1", "2", "3", "4")), min_size=1, max_size=4, unique=True),
+       st.sets(st.tuples(_IDS, _IDS), max_size=5), st.lists(_IDS, max_size=3))
+def test_a_graph_is_built_exactly_when_it_is_a_forest(declared, edges, roots):
+    try:
+        _graph(declared, edges, roots)
+    except ValueError:
+        built = False
+    else:
+        built = True
+    assert built == _is_forest(declared, edges, roots)

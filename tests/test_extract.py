@@ -1,11 +1,15 @@
+import os
 import random
 import statistics
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dlview
 from dlview.core import (
     RawVesselGraph,
     Region,
@@ -25,10 +29,8 @@ def seg(sid, *radii):
 
 
 def graph(segments, edges, roots, subject="s", region=Region.BACK):
-    g = RawVesselGraph(subject, region, {s.segment_id: s for s in segments},
-                       frozenset(edges), tuple(roots))
-    g.validate()
-    return g
+    return RawVesselGraph(subject, region, {s.segment_id: s for s in segments},
+                          frozenset(edges), tuple(roots))
 
 
 def test_root_with_two_children_three_nodes():
@@ -171,9 +173,8 @@ def test_three_roots_rejected():
 
 
 def test_empty_graph_rejected():
-    g = RawVesselGraph("s", Region.BACK, {}, frozenset(), ())
     with pytest.raises(ValueError):
-        extract_binary_tree(g)
+        extract_binary_tree(RawVesselGraph("s", Region.BACK, {}, frozenset(), ()))
 
 
 def test_no_unary_internal_nodes_and_leaf_preservation():
@@ -214,11 +215,67 @@ def test_extraction_is_deterministic():
         assert a == b
 
 
+# Two roots with one numeric value (9, 09) and three children of 9 with one
+# numeric value (7, 07, 007): only the id string tells them apart.
+TIED_IDS_VESS = """\
+HEADER tie B
+POINT p1 0 0 0 1.0
+POINT p2 1 0 0 0.9
+POINT p3 2 0 0 0.8
+POINT p4 3 0 0 0.7
+POINT p5 4 0 0 0.6
+POINT p6 5 0 0 0.5
+SEGMENT 9 p1 p2
+SEGMENT 09 p2 p3
+SEGMENT 7 p3 p4
+SEGMENT 07 p4 p5
+SEGMENT 007 p5 p6
+CONNECT 9 7
+CONNECT 9 07
+CONNECT 9 007
+ROOT 9
+ROOT 09
+"""
+# extract the file, then print its canonical .vess form
+_EXTRACT_AND_SERIALIZE = """\
+import sys
+from dlview.cli import main
+from dlview.ingest import parse_vess, serialize_vess
+vess, out = sys.argv[1:]
+assert main(["extract", vess, "--out-dir", out]) == 0
+sys.stdout.buffer.write(serialize_vess(parse_vess(open(vess, "rb").read())))
+"""
+
+
+def test_ids_with_one_numeric_value_order_the_same_under_every_hash_seed(tmp_path):
+    vess = tmp_path / "tie.vess"
+    vess.write_text(TIED_IDS_VESS)
+    src = str(Path(dlview.__file__).parents[1])
+    trees, canonical = set(), set()
+    for seed in range(6):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"out{seed}"
+        run = subprocess.run([sys.executable, "-c", _EXTRACT_AND_SERIALIZE, str(vess), str(out)],
+                             env=env, capture_output=True, check=True)
+        trees.add((out / "tie_B.dltree").read_bytes())
+        canonical.add(run.stdout)
+    # equal numeric values order by the id string: 09 before 9, 007 < 07 < 7
+    assert trees == {b"HEADER tie B\n(phantom:_,(09:1.7000),(9:1.9000,(007:1.1000),"
+                     b"(9~1:1.9000,(07:1.3000),(7:1.5000))))\n"}
+    assert len(canonical) == 1
+    records = [line for line in canonical.pop().decode().splitlines()
+               if not line.startswith(("HEADER", "POINT"))]
+    assert records == ["SEGMENT 007 p1 p2", "SEGMENT 07 p3 p4", "SEGMENT 7 p5 p6",
+                       "SEGMENT 09 p7 p8", "SEGMENT 9 p9 p10",
+                       "CONNECT 9 007", "CONNECT 9 07", "CONNECT 9 7", "ROOT 09", "ROOT 9"]
+
+
 def test_invalid_hand_built_graph_rejected():
-    g = RawVesselGraph("s", Region.BACK, {"1": seg("1", 0.5, 0.5), "2": seg("2", 0.4, 0.4)},
-                       frozenset({("1", "2"), ("2", "1")}), ("1",))
     with pytest.raises(ValueError):
-        extract_binary_tree(g)
+        extract_binary_tree(RawVesselGraph(
+            "s", Region.BACK, {"1": seg("1", 0.5, 0.5), "2": seg("2", 0.4, 0.4)},
+            frozenset({("1", "2"), ("2", "1")}), ("1",)))
 
 
 def test_deep_nested_splits_extract_without_recursion(tmp_path):
