@@ -18,8 +18,7 @@ from dlview.synth import GenParams, generate_corpus, inject_corpus
 def run_seed(seed: int, n_subjects: int, effect: float):
     base = GenParams(p0=1.35, decay=0.1)
     entries = generate_corpus(n_subjects, effect, seed, base_params=base)
-    dirty, _truth, repairs = inject_corpus(entries, seed, inject_fraction=0.40,
-                                           graft_fraction=0.45)
+    dirty, _truth, repairs = inject_corpus(entries, seed)
     covariates = {e.tree.subject_id: e.covariate for e in dirty}
     corpus = {(e.tree.subject_id, e.tree.region.value): e.tree for e in dirty}
     cleaned = apply_script(corpus, repairs)

@@ -73,7 +73,7 @@ def _load_tree(path: Path) -> BinaryTree:
 
 
 def _load_corpus(directory: Path) -> dict[tuple[str, str], BinaryTree]:
-    paths = sorted(directory.glob("*.dltree"))
+    paths = sorted(directory.glob("*.dltree"), key=str)
     if not paths:
         raise DataError(f"no .dltree files in {directory}")
     corpus = {}
@@ -157,7 +157,7 @@ def cmd_extract(args) -> int:
 def cmd_render(args) -> int:
     out_dir = Path(args.out_dir)
     options = RenderOptions(width=args.width, height=args.height)
-    # RenderOptions accepts any positive size; a figure needs room inside its margins
+    # RenderOptions accepts any positive int; a figure needs room inside its margins
     for flag, size, margins in (("--width", options.width, MARGIN_LEFT + MARGIN_RIGHT),
                                 ("--height", options.height, MARGIN_TOP + MARGIN_BOTTOM)):
         if size <= margins:

@@ -19,8 +19,8 @@ and any other tree derives them on first use.  `parent` is then one pass
 over size: each node i with size[i] > 1 is the parent of i + 1, and of
 i + 1 + size[i + 1] when that still lies in its slice.  `level` is always
 derived from `parent`.  BinaryNode is only a builder (`BinaryTree(subject,
-region, root_node)` flattens a hand-made graph) and a view
-(`BinaryTree.root`); no stage uses it.
+region, root_node)` flattens a hand-made graph, which the tree then checks)
+and a view (`BinaryTree.root`); no stage uses it.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import enum
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 
 class Region(enum.Enum):
@@ -184,17 +184,9 @@ class BinaryNode:
     left: Optional["BinaryNode"] = None
     right: Optional["BinaryNode"] = None
 
-    def __post_init__(self):
-        if self.thickness is not None and self.thickness < 0:
-            raise ValueError(f"negative thickness on node {self.node_id!r}")
-
     @property
     def children(self) -> tuple["BinaryNode", ...]:
         return tuple(c for c in (self.left, self.right) if c is not None)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None and self.right is None
 
 
 def subtree_sizes(parent: list[int]) -> list[int]:
@@ -331,24 +323,13 @@ class BinaryTree:
                           size=tuple(head) + tuple(size) + self.size[end:])
 
     @cached_property
-    def _view(self) -> list[BinaryNode]:
+    def root(self) -> BinaryNode:
+        """The tree as linked BinaryNodes, built on first use."""
         nodes: list = [None] * len(self.ids)
         for i in range(len(nodes) - 1, -1, -1):
             nodes[i] = BinaryNode(self.ids[i], self.thickness[i],
                                   *(nodes[c] for c in self.children(i)))
-        return nodes
-
-    @property
-    def root(self) -> BinaryNode:
-        """The tree as linked BinaryNodes, built on first use."""
-        return self._view[0]
-
-    def nodes(self) -> Iterator[BinaryNode]:
-        """The BinaryNode view in preorder, left before right."""
-        return iter(self._view)
-
-    def node(self, node_id: str) -> BinaryNode:
-        return self._view[self.position(node_id)]
+        return nodes[0]
 
 
 def _with_parent(tree: BinaryTree, parent: list[int]) -> BinaryTree:

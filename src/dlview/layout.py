@@ -13,8 +13,7 @@ per node (`ids`, `parent`, `x`, `y`, `y_jittered`, `color_bin`), so node
 i's segment is (parent[i], i).  `build_layout` writes each tuple in one pass;
 the jitter reuses a sha256 state hashed once per tree over the shared key
 prefix, which gives `jitter_offset`'s digest.  The per-node
-`DlNodePlacement`s and the `(parent_id, child_id)` edges are views built on
-first use.
+`DlNodePlacement`s are a view built on first use.
 """
 
 from __future__ import annotations
@@ -119,12 +118,6 @@ class DlLayout:
         """One DlNodePlacement per node, built on first use."""
         return tuple(map(DlNodePlacement, self.ids, self.x, self.y,
                          self.y_jittered, self.color_bin))
-
-    @cached_property
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        """(parent_id, child_id) per node after the first, built on first use."""
-        ids = self.ids
-        return tuple((ids[self.parent[i]], ids[i]) for i in range(1, len(ids)))
 
 
 def jitter_offset(subject_id: str, region_code: str, node_id: str,

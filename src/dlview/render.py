@@ -44,6 +44,9 @@ class RenderOptions:
     axis_labels: bool = True
 
     def __post_init__(self):
+        # 640.0 and True would print as given yet share 640's and 1's cached frame
+        if type(self.width) is not int or type(self.height) is not int:
+            raise ValueError("render dimensions must be ints")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("render dimensions must be positive")
 
@@ -67,8 +70,8 @@ class _Frame(NamedTuple):
 
 
 @lru_cache(maxsize=16)
-def _frame(o: RenderOptions, width_type: type, height_type: type) -> _Frame:
-    # the types are part of the key: 640 == 640.0, but they print differently
+def _frame(o: RenderOptions) -> _Frame:
+    """Every string of the figure that depends only on the options."""
     plot_w = o.width - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = o.height - MARGIN_TOP - MARGIN_BOTTOM
 
@@ -135,7 +138,7 @@ def _frame(o: RenderOptions, width_type: type, height_type: type) -> _Frame:
 
 def render_svg(layout: DlLayout, options: RenderOptions = RenderOptions()) -> bytes:
     o = options
-    frame = _frame(o, type(o.width), type(o.height))
+    frame = _frame(o)
     plot_w = o.width - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = o.height - MARGIN_TOP - MARGIN_BOTTOM
 

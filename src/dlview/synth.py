@@ -4,9 +4,10 @@ Clean trees branch with a level-decaying probability and thin monotonically
 toward the leaves, so the default detectors stay silent on them by
 construction.  Only the branching, `GenParams` (p0, decay), varies between
 corpora; the thinning (T0, SHRINK_LO/SHRINK_HI, NOISE, THIN_FLOOR and the
-DEEP_CAP_LEVEL/DEEP_CAP_MM cap) is fixed.  Anomalies are injected with a
-5x-epsilon margin so that the injected locus is unambiguous, and each
-injection reports the ground-truth node for recall/precision checks.
+DEEP_CAP_LEVEL/DEEP_CAP_MM cap) is fixed, and so are the injections: they
+clear the default detector thresholds (DETECTOR), veins and grafts by a
+5x-epsilon margin (MARGIN_MM), so that the injected locus is unambiguous,
+and each reports the ground-truth node for recall/precision checks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 
+from . import edit
 from .core import BinaryTree, CorpusEntry, Region, subtree_sizes
 from .detect import DetectorConfig, FlagKind
 
@@ -37,6 +39,12 @@ NOISE = 0.1          # downward additive noise, kept < epsilon/2
 THIN_FLOOR = 0.05    # thickness never drops below this, mm
 DEEP_CAP_LEVEL = 2   # from this level thickness is capped ...
 DEEP_CAP_MM = 2.9    # ... below the starting-point threshold
+
+
+DETECTOR = DetectorConfig()          # the thresholds an injection must clear
+MARGIN_MM = 5 * DETECTOR.epsilon_mm  # a vein or graft's excess over its parent
+INJECT_FRACTION = 0.40  # share of inject_corpus's trees that get an anomaly
+GRAFT_FRACTION = 0.45   # inject_corpus's graft size, as a share of the host tree
 
 
 # generate_tree gives up past this many nodes.  With decay=0 the branching
@@ -92,24 +100,23 @@ class TreeTooSmallError(ValueError):
 
 
 def inject_anomaly(tree: BinaryTree, kind: FlagKind, seed: int,
-                   config: DetectorConfig = DetectorConfig(),
                    graft_size: int | None = None) -> tuple[BinaryTree, str]:
     """Inject one anomaly; returns the edited tree and the ground-truth node id.
 
     graft_size controls how many nodes a misconnection graft carries
-    (default: just above the detector's minimum subtree size).
+    (default: just above DETECTOR's minimum subtree size).
     """
     rng = random.Random(seed)
     if kind is FlagKind.VEIN:
-        return _inject_vein(tree, rng, config)
+        return _inject_vein(tree, rng)
     if kind is FlagKind.MISCONNECTION:
-        return _inject_misconnection(tree, rng, config, graft_size)
+        return _inject_misconnection(tree, rng, graft_size)
     if kind is FlagKind.STARTING_POINT:
-        return _inject_starting_point(tree, config)
+        return _inject_starting_point(tree)
     raise ValueError(f"unknown anomaly kind {kind!r}")
 
 
-def _inject_vein(tree: BinaryTree, rng, config: DetectorConfig):
+def _inject_vein(tree: BinaryTree, rng):
     """Split a leaf into a normal child plus an over-thick vein leaf.
 
     Hosts are restricted to leaves at level >= 2, below the generator's
@@ -125,7 +132,7 @@ def _inject_vein(tree: BinaryTree, rng, config: DetectorConfig):
         vein_id, sib_id = vein_id + "x", sib_id + "x"
     t = tree.thickness[host]
     return tree.splice(host, [tree.ids[host], sib_id, vein_id],
-                       [t, t * 0.9, t + 5 * config.epsilon_mm], [3, 1, 1]), vein_id
+                       [t, t * 0.9, t + MARGIN_MM], [3, 1, 1]), vein_id
 
 
 def _graft_sites(tree: BinaryTree):
@@ -139,14 +146,13 @@ def _graft_sites(tree: BinaryTree):
                     yield i, leaf, size[sib]
 
 
-def _inject_misconnection(tree: BinaryTree, rng, config: DetectorConfig,
-                          graft_size: int | None):
+def _inject_misconnection(tree: BinaryTree, rng, graft_size: int | None):
     """Replace a leaf with a generated over-thick subtree.
 
     The host leaf must have a large-enough sibling subtree so that the graft
     cannot shift any ancestor's subtree median.
     """
-    graft_size_target = graft_size or max(config.misconnection_min_subtree, 5)
+    graft_size_target = graft_size or max(DETECTOR.misconnection_min_subtree, 5)
     candidates = [(parent, leaf) for parent, leaf, sib_size in _graft_sites(tree)
                   if sib_size >= graft_size_target + 2]
     if not candidates:
@@ -159,7 +165,7 @@ def _inject_misconnection(tree: BinaryTree, rng, config: DetectorConfig,
     # median stays above 0.8 times its root's thickness, which keeps the
     # subtree median above parent + epsilon for any realistic parent thickness.
     ids, thickness = [], []
-    t = tree.thickness[parent] + 5 * config.epsilon_mm
+    t = tree.thickness[parent] + MARGIN_MM
     for i in range(graft_size_target):
         nid = f"{prefix}.{i}"
         while nid in used:
@@ -171,13 +177,13 @@ def _inject_misconnection(tree: BinaryTree, rng, config: DetectorConfig,
     return tree.splice(host, ids, thickness, range(len(ids), 0, -1)), ids[0]
 
 
-def _inject_starting_point(tree: BinaryTree, config: DetectorConfig):
+def _inject_starting_point(tree: BinaryTree):
     """Prepend a chain of over-thick trunks above the current root."""
     if tree.thickness[0] is None:
         raise TreeTooSmallError("cannot prepend above a phantom root")
     used = set(tree.ids)
-    base = max(config.startpoint_thick_mm, tree.thickness[0]) + config.epsilon_mm
-    for i in range(config.startpoint_min_chain + 1):
+    base = max(DETECTOR.startpoint_thick_mm, tree.thickness[0]) + DETECTOR.epsilon_mm
+    for i in range(DETECTOR.startpoint_min_chain + 1):
         nid = f"sp{i}"
         while nid in used:
             nid += "x"
@@ -195,8 +201,6 @@ def max_graft_size(tree: BinaryTree) -> int:
 
 def repair_operation(tree_before: BinaryTree, kind: FlagKind, locus: str):
     """The edit-script line that undoes an injection into `tree_before`."""
-    from . import edit
-
     if kind is FlagKind.VEIN:
         op = edit.DeleteLeaf(locus)
     elif kind is FlagKind.MISCONNECTION:
@@ -239,7 +243,6 @@ def generate_corpus(n_subjects: int, covariate_effect: float, seed: int,
 
 
 def inject_plan(entries: list[CorpusEntry], plan, rng: random.Random,
-                config: DetectorConfig = DetectorConfig(),
                 graft_fraction: float | None = None):
     """Inject one anomaly per `(kind, candidate entry indices)` plan item.
 
@@ -258,12 +261,12 @@ def inject_plan(entries: list[CorpusEntry], plan, rng: random.Random,
             tree = dirty[idx].tree
             graft = None
             if kind is FlagKind.MISCONNECTION and graft_fraction is not None:
-                graft = max(config.misconnection_min_subtree + 2,
+                graft = max(DETECTOR.misconnection_min_subtree + 2,
                             min(int(tree.node_count * graft_fraction),
                                 max_graft_size(tree), 300))
             try:
                 new_tree, locus = inject_anomaly(tree, kind, rng.randrange(2**62),
-                                                 config, graft_size=graft)
+                                                 graft_size=graft)
             except TreeTooSmallError:
                 continue
             repairs.append(repair_operation(tree, kind, locus))
@@ -274,20 +277,18 @@ def inject_plan(entries: list[CorpusEntry], plan, rng: random.Random,
     return dirty, truth, repairs
 
 
-def inject_corpus(entries: list[CorpusEntry], seed: int,
-                  inject_fraction: float = 0.25,
-                  graft_fraction: float = 0.45,
-                  config: DetectorConfig = DetectorConfig()):
-    """Inject one anomaly into each of a sampled fraction of trees.
+def inject_corpus(entries: list[CorpusEntry], seed: int):
+    """Inject one anomaly into each of an INJECT_FRACTION sample of trees.
 
     A tree too small for its kind stays clean.  Misconnection grafts scale
-    with the host tree so the distortion is visible at corpus level.
+    with the host tree (GRAFT_FRACTION) so the distortion is visible at
+    corpus level.
     """
     rng = random.Random(seed ^ 0x1AB0)
-    n_inject = int(len(entries) * inject_fraction)
+    n_inject = int(len(entries) * INJECT_FRACTION)
     indices = rng.sample(range(len(entries)), n_inject)
     k = max(n_inject // 8, 1)
     kinds = ([FlagKind.MISCONNECTION] * (n_inject - 2 * k)
              + [FlagKind.VEIN] * k + [FlagKind.STARTING_POINT] * k)
     plan = [(kind, [idx]) for idx, kind in zip(indices, kinds)]
-    return inject_plan(entries, plan, rng, config, graft_fraction)
+    return inject_plan(entries, plan, rng, GRAFT_FRACTION)

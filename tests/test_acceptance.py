@@ -90,7 +90,7 @@ def test_acceptance_02_extraction_oracle():
         t = extract_binary_tree(g)
         node_count, leaf_count, desc = raw_graph_trunk_counts(g)
         ok = ok and t.node_count == node_count
-        ok = ok and sum(1 for n in t.nodes() if n.is_leaf) == leaf_count
+        ok = ok and t.size.count(1) == leaf_count
         ok = ok and all(t.size[t.position(h)] - 1 == d for h, d in desc.items())
         if not ok:
             break
@@ -166,7 +166,7 @@ def test_acceptance_06_edit_closure():
                                  [line])
             tree = next(iter(fixed.values()))
             ok = ok and scan_tree(tree) == []
-            ok = ok and all(len(n.children) in (0, 2) for n in tree.nodes())
+            ok = ok and all(len(tree.children(i)) in (0, 2) for i in range(tree.node_count))
             fixed_count += 1
     _verdict(6, "edit closure on injected fixtures", ok and fixed_count >= 60,
              f"{fixed_count} corrections")
@@ -205,9 +205,7 @@ def test_acceptance_08_cleaning_improves_significance():
     base = GenParams(p0=1.35, decay=0.1)
     for seed in range(50):
         entries = generate_corpus(100, 0.005, seed, base_params=base)
-        dirty, _truth, repairs = inject_corpus(entries, seed,
-                                               inject_fraction=0.40,
-                                               graft_fraction=0.45)
+        dirty, _truth, repairs = inject_corpus(entries, seed)
         covariates = {e.tree.subject_id: e.covariate for e in dirty}
         corpus = {(e.tree.subject_id, e.tree.region.value): e.tree for e in dirty}
         cleaned = apply_script(corpus, repairs)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 
@@ -15,6 +16,7 @@ from dlview.core import (
     UnknownNodeError,
     VesselPoint,
     VesselSegment,
+    _id_sort_key,
     _with_parent,
 )
 
@@ -136,21 +138,19 @@ def test_descendant_count_matches_brute_force_on_random_trees():
     rng = random.Random(2024)
     for _ in range(300):
         t = random_binary_tree(rng, max_nodes=80)
-        for node in t.nodes():
-            assert t.size[t.position(node.node_id)] - 1 == brute_descendants(node)
+        for i in range(t.node_count):
+            assert t.size[i] - 1 == brute_descendants(t.subtree(i).root)
 
 
 def test_descendant_recurrence_and_level_bound():
     rng = random.Random(7)
     for _ in range(100):
         t = random_binary_tree(rng, max_nodes=60)
-        for node in t.nodes():
-            kids = node.children
-            assert t.size[t.position(node.node_id)] - 1 == (
-                sum(t.size[t.position(c.node_id)] - 1 for c in kids) + len(kids)
-            )
-        assert sum(1 for _ in t.nodes()) == t.node_count
-        assert max(t.level[t.position(n.node_id)] for n in t.nodes()) < t.node_count
+        for i in range(t.node_count):
+            kids = t.children(i)
+            assert t.size[i] - 1 == sum(t.size[c] - 1 for c in kids) + len(kids)
+        assert brute_descendants(t.root) + 1 == t.node_count
+        assert max(t.level) < t.node_count
 
 
 def test_repr_eq_hash_of_a_deep_chain():
@@ -180,6 +180,13 @@ def test_children_are_sorted_by_id(kids):
     g = _graph(["p", *kids], (("p", k) for k in kids), ("p",))
     assert g.children_of("p") == tuple(sorted(kids, key=ID_ORDER.index))
     assert all(g.children_of(k) == () for k in kids)
+
+
+def test_tied_numeric_ids_sort_by_the_id_string():
+    # a graph meets its tied children in frozenset order, which one process
+    # may never vary; a stable sort without the tie-break keeps each input order
+    for ids in itertools.permutations(("7", "07", "007", "x")):
+        assert sorted(ids, key=_id_sort_key) == ["007", "07", "7", "x"]
 
 
 @pytest.mark.parametrize("declared, edges, roots, problem", [

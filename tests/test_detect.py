@@ -253,14 +253,14 @@ def test_flag_subsets():
     rng = random.Random(99)
     for _ in range(60):
         t = random_binary_tree(rng, max_nodes=40)
-        leaves = {n.node_id for n in t.nodes() if n.is_leaf}
+        leaves = {node_id for node_id, size in zip(t.ids, t.size) if size == 1}
         for f in detect_vein(t):
             assert f.node_id in leaves
-        # exactly the leaves past their parent's thickness, read from the node view
+        # exactly the leaves past their parent's thickness, found through children
         eps = DetectorConfig().epsilon_mm
         assert sorted(f.node_id for f in detect_vein(t)) == sorted(
-            c.node_id for n in t.nodes() if n.thickness is not None
-            for c in n.children if c.is_leaf and c.thickness > n.thickness + eps)
+            t.ids[c] for i, ti in enumerate(t.thickness) if ti is not None
+            for c in t.children(i) if t.size[c] == 1 and t.thickness[c] > ti + eps)
         for f in detect_misconnection(t):
             assert f.node_id != t.root.node_id
         for f in detect_starting_point(t):

@@ -39,7 +39,7 @@ def test_root_with_two_children_three_nodes():
     t = extract_binary_tree(g)
     assert t.node_count == 3
     assert t.root.node_id == "1"
-    assert t.root.left.is_leaf and t.root.right.is_leaf
+    assert t.size == (3, 1, 1)  # two leaves under the root
 
 
 def test_unary_chain_collapses_before_split():
@@ -98,7 +98,7 @@ def test_each_trunk_is_twice_the_median_of_its_chains_radii(root, below):
 
 def comb_order(node):
     """A node as its leaf id, or a (left, right) pair of the same."""
-    if node.is_leaf:
+    if not node.children:
         return node.node_id
     return (comb_order(node.left), comb_order(node.right))
 
@@ -186,10 +186,9 @@ def test_no_unary_internal_nodes_and_leaf_preservation():
         for p, c in g.edges:
             children[p].append(c)
         input_leaves = sum(1 for kids in children.values() if not kids)
-        out_leaves = sum(1 for n in t.nodes() if n.is_leaf)
-        assert out_leaves == input_leaves
-        for n in t.nodes():
-            assert len(n.children) in (0, 2)
+        assert t.size.count(1) == input_leaves
+        for i in range(t.node_count):
+            assert len(t.children(i)) in (0, 2)
 
 
 def test_extraction_matches_raw_graph_walker():
@@ -201,7 +200,7 @@ def test_extraction_matches_raw_graph_walker():
         t = extract_binary_tree(g)
         node_count, leaf_count, desc = raw_graph_trunk_counts(g)
         assert t.node_count == node_count
-        assert sum(1 for n in t.nodes() if n.is_leaf) == leaf_count
+        assert t.size.count(1) == leaf_count
         for head, expect in desc.items():
             assert t.size[t.position(head)] - 1 == expect
 

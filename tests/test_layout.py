@@ -113,7 +113,7 @@ def test_build_layout_single_node():
     assert (p.x, p.y) == (0, 0.0)
     assert lay.histogram[25] == 1 and sum(lay.histogram) == 1
     assert lay.thickness_min == lay.thickness_max == 1.0
-    assert lay.edges == ()
+    assert lay.parent == (-1,)
 
 
 def test_build_layout_three_nodes():
@@ -139,13 +139,13 @@ def test_layout_invariants_on_random_trees():
     for _ in range(150):
         t = random_binary_tree(rng, max_nodes=60)
         lay = build_layout(t)
-        assert len(lay.edges) == t.node_count - 1
-        by_id = {p.node_id: p for p in lay.placements}
-        for parent, child in lay.edges:
-            assert by_id[parent].x == by_id[child].x - 1
+        assert len(lay.parent) == t.node_count and lay.parent[0] == -1
+        for child in range(1, t.node_count):
+            parent = lay.parent[child]
+            assert lay.x[parent] == lay.x[child] - 1
             # descendant counts shrink strictly toward the leaves
-            assert by_id[parent].y > by_id[child].y
-        present = sum(1 for n in t.nodes() if n.thickness is not None)
+            assert lay.y[parent] > lay.y[child]
+        present = sum(1 for v in t.thickness if v is not None)
         assert sum(lay.histogram) == present
         if lay.thickness_max is not None:
             assert lay.histogram[color_bin(lay.thickness_max)] >= 1
@@ -169,7 +169,7 @@ def test_hand_made_layout_edges_must_follow_the_placements():
     placements = [DlNodePlacement("r", 0, 1.0, 1.0, 10), DlNodePlacement("a", 1, 0.0, 0.0, 5),
                   DlNodePlacement("b", 1, 0.0, 0.0, 5)]
     ok = DlLayout("s", "B", placements, [("r", "a"), ("r", "b")], (0,) * BIN_COUNT, None, None)
-    assert ok.parent == (-1, 0, 0) and ok.edges == (("r", "a"), ("r", "b"))
+    assert ok.ids == ("r", "a", "b") and ok.parent == (-1, 0, 0)
     for edges in ([("r", "b"), ("r", "a")], [("r", "a")], [("r", "a"), ("q", "b")]):
         with pytest.raises(ValueError):
             DlLayout("s", "B", placements, edges, (0,) * BIN_COUNT, None, None)

@@ -80,8 +80,12 @@ def test_phantom_root_drawn_hollow():
 
 
 def test_render_options_validate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="positive"):
         RenderOptions(width=0)
+    # each equals an int, but would print as given in the header
+    for size in ({"width": True}, {"width": 640.0}, {"height": 480.0}):
+        with pytest.raises(ValueError, match="must be ints"):
+            RenderOptions(**size)
 
 
 def test_golden_svgs():

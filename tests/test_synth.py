@@ -5,7 +5,7 @@ import pytest
 
 from dlview import synth
 from dlview.core import Region
-from dlview.detect import DetectorConfig, FlagKind, scan_tree
+from dlview.detect import FlagKind, scan_tree
 from dlview.ingest import serialize_dltree
 from dlview.synth import (
     GenParams,
@@ -68,15 +68,14 @@ def test_monotone_thinning():
 @pytest.mark.parametrize("kind", list(FlagKind))
 def test_injection_round_trip(kind):
     """Each injected anomaly is detected at exactly its ground-truth locus."""
-    cfg = DetectorConfig()
     done = 0
     for seed in range(120):
         clean = generate_tree(GenParams(), seed=seed)
         try:
-            dirty, locus = inject_anomaly(clean, kind, seed=seed * 13 + 1, config=cfg)
+            dirty, locus = inject_anomaly(clean, kind, seed=seed * 13 + 1)
         except TreeTooSmallError:
             continue
-        flags = scan_tree(dirty, cfg)
+        flags = scan_tree(dirty)
         assert len(flags) == 1
         assert flags[0].kind is kind
         assert flags[0].node_id == locus
