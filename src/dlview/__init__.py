@@ -7,8 +7,6 @@ from .core import (
     CorpusEntry,
     RawVesselGraph,
     Region,
-    VesselPoint,
-    VesselSegment,
 )
 from .detect import DetectorConfig, FlagKind, FlagRecord, scan_tree
 from .extract import extract_binary_tree

@@ -29,7 +29,8 @@ import enum
 import math
 from dataclasses import InitVar, dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from itertools import chain
+from typing import Optional
 
 
 class Region(enum.Enum):
@@ -66,54 +67,14 @@ class DuplicateNodeIdError(TreeError):
     pass
 
 
-class _Point(NamedTuple):
-    x: float
-    y: float
-    z: float
-    radius: float
-
-
-class VesselPoint(_Point):
-    """A centreline point: an immutable tuple (x, y, z, radius).
-
-    Calling the class checks the values.  `tuple.__new__(VesselPoint, row)`
-    builds a point from values already checked; the .vess reader builds
-    whole columns of points that way.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, x: float, y: float, z: float, radius: float):
-        self = super().__new__(cls, x, y, z, radius)
-        for v in self:
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite coordinate/radius in {self!r}")
-        if radius <= 0:
-            raise ValueError(f"radius must be > 0, got {radius}")
-        return self
-
-
-class _Segment(NamedTuple):
-    segment_id: str
-    points: tuple[VesselPoint, ...]
-
-
-class VesselSegment(_Segment):
-    """A vessel segment: an immutable tuple (segment_id, points), points in
-    flow order.  Calling the class checks the point count; the .vess reader
-    builds checked segments with `tuple.__new__`, like points."""
-
-    __slots__ = ()
-
-    def __new__(cls, segment_id: str, points: tuple[VesselPoint, ...]):
-        if len(points) < 2:
-            raise ValueError(f"segment {segment_id!r} needs >= 2 points")
-        return super().__new__(cls, segment_id, points)
-
-
 @dataclass(frozen=True)
 class RawVesselGraph:
     """Forest of vessel segments for one subject/region, checked when built.
+
+    The points are four float columns, x, y, z and radius, one row per
+    POINT record in file order, unused rows kept; `segments` maps each id to
+    its rows in flow order.  Equality is by columns, so the same values in
+    another row order differ: `serialize_vess` writes a graph's value.
 
     Construction raises ValueError unless `validate` passes, and lists each
     parent's children once, sorted by `_id_sort_key`; most parents have one
@@ -122,11 +83,17 @@ class RawVesselGraph:
 
     subject_id: str
     region: Region
-    segments: dict[str, VesselSegment]
+    x: tuple[float, ...]
+    y: tuple[float, ...]
+    z: tuple[float, ...]
+    radius: tuple[float, ...]
+    segments: dict[str, tuple[int, ...]]  # rows in flow order
     edges: frozenset[tuple[str, str]]  # (parent_sid, child_sid)
     roots: tuple[str, ...]
 
     def __post_init__(self):
+        for name in ("x", "y", "z", "radius"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         children: dict[str, list[str]] = {}
         for p, c in self.edges:
             children.setdefault(p, []).append(c)
@@ -141,11 +108,30 @@ class RawVesselGraph:
         return self._children.get(sid, ())
 
     def validate(self) -> None:
-        """Raise ValueError unless the edges form a forest under `roots`: one
-        walk from the roots reaches each declared segment once and no other
-        id, and every edge parent is declared.  A second parent, a repeated
-        root or a root with a parent is reached twice or leaves a parent
-        unreached; a cycle is unreached."""
+        """Raise ValueError unless the columns hold points and the edges form
+        a forest under `roots`.  The columns are checked whole (equal
+        lengths, finite values, radii > 0, each segment >= 2 rows in range);
+        only a bad graph pays a loop that names what is wrong.  Then one walk
+        from the roots must reach each declared segment once and no other
+        id, and every edge parent must be declared.  A second parent, a
+        repeated root or a root with a parent is reached twice or leaves a
+        parent unreached; a cycle is unreached."""
+        columns = (self.x, self.y, self.z, self.radius)
+        n = len(self.radius)
+        if any(len(c) != n for c in columns):
+            raise ValueError(f"point columns differ in length: {list(map(len, columns))}")
+        # a NaN or an infinity makes the sum non-finite; so may finite values
+        # whose sum overflows, and the loop then finds nothing to refuse
+        if not (min(self.radius, default=1.0) > 0.0 and math.isfinite(sum(map(sum, columns)))):
+            for row, point in enumerate(zip(*columns)):
+                if not (point[3] > 0.0 and all(map(math.isfinite, point))):
+                    raise ValueError(f"point row {row} {point} needs finite values, radius > 0")
+        rows = self.segments.values()
+        if (min(map(len, rows), default=2) < 2 or min(chain.from_iterable(rows), default=0) < 0
+                or max(chain.from_iterable(rows), default=-1) >= n):
+            for sid, seg in self.segments.items():
+                if len(seg) < 2 or not 0 <= min(seg) <= max(seg) < n:
+                    raise ValueError(f"segment {sid!r} needs >= 2 points, in rows 0..{n - 1}")
         if not self.roots:
             raise ValueError("graph has no roots")
         seen: set[str] = set()

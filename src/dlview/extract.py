@@ -3,20 +3,22 @@
 Each maximal unary chain of segments collapses to a single trunk node whose
 thickness is twice the median radius over all points of the chain.  The
 median is statistics.median's own: the chain's radii are pooled into one
-list and sorted in place, and an even count takes (a + b) / 2 of the middle
+list, read from the graph's radius column by each segment's rows, and
+sorted in place, and an even count takes (a + b) / 2 of the middle
 two, which keeps a pair of subnormal radii from halving to zero first.  Splits
 into three or more child vessels become right-leaning combs of binary splits
 (children in the graph's total id order, `RawVesselGraph.children_of`;
-zero-length synthetic trunks inherit the parent trunk's thickness).  Two root
-vessels, in the same order, are joined under a phantom root with no thickness
-of its own.  The graph checked its forest rules when it was built, so a tree
-is extracted without checking them again.
+zero-length synthetic trunks inherit the parent trunk's thickness).  The
+k-th synthetic trunk under head h is named h~k, with '~' appended while a
+trunk named after a segment has that name.  Two root vessels, in the same
+order, are joined under a phantom root with no thickness of its own.  The
+graph checked its forest rules when it was built, so a tree is extracted
+without checking them again.
 """
 
 from __future__ import annotations
 
 import math
-from operator import itemgetter
 
 from .core import BinaryTree, RawVesselGraph, _id_sort_key, subtree_sizes
 
@@ -36,7 +38,8 @@ def extract_binary_tree(graph: RawVesselGraph) -> BinaryTree:
     else:
         stack = [(-1, "", 0, None, roots)]
     segments, children_of = graph.segments, graph.children_of
-    radius = itemgetter(3)
+    radius = graph.radius.__getitem__
+    combs = set()  # positions of the synthetic trunks
     while stack:
         p, head, step, t, kids = stack.pop()
         if kids is None:
@@ -44,7 +47,7 @@ def extract_binary_tree(graph: RawVesselGraph) -> BinaryTree:
             radii: list[float] = []
             cur = head
             while True:
-                radii += map(radius, segments[cur].points)
+                radii += map(radius, segments[cur])
                 kids = children_of(cur)
                 if len(kids) != 1:
                     break
@@ -56,6 +59,8 @@ def extract_binary_tree(graph: RawVesselGraph) -> BinaryTree:
                 raise ValueError(f"trunk {head!r} is too thick: twice its median "
                                  "radius is out of float range")
         i = len(ids)
+        if step:
+            combs.add(i)
         ids.append(f"{head}~{step}" if step else head)
         thickness.append(t)
         parent.append(p)
@@ -66,9 +71,16 @@ def extract_binary_tree(graph: RawVesselGraph) -> BinaryTree:
             else:
                 stack.append((i, kids[-1], 0, None, None))
             stack.append((i, kids[step], 0, None, None))
+    if len(set(ids)) < len(ids):
+        # a synthetic trunk took a segment trunk's name; stripped of trailing
+        # '~'s, each synthetic name is its own head~step, so two never meet
+        heads = {name for i, name in enumerate(ids) if i not in combs}
+        for i in combs:
+            while ids[i] in heads:
+                ids[i] += "~"
     if len(roots) == 2:
-        # synthetic trunk ids end in a digit, so only a trunk named after a
-        # segment can take the phantom's name
+        # a synthetic trunk's name holds a digit, so only a trunk named after
+        # a segment can take the phantom's name
         ids[0] = "phantom"
         while ids[0] in ids[1:]:
             ids[0] += "~"

@@ -18,11 +18,12 @@ record columns: records are split into tokens a block at a time and taken in
 file order, a run of one kind at a time; each run's numbers are checked
 against the number grammar by a few substring scans and converted with one
 map(float, ...) (_read_numbers), and its ids are checked against the points
-or segments read before it.  No repeated ids and one parent per child are
-checked on whole sets, and the roots and cycles by the graph, which checks
-itself when it is built.  The line walker, which reads one record at a
-time, runs only when one of those checks fails: it accepts exactly the files
-the column read accepts, and raises the located error.
+or segments read before it; its POINTs extend the graph's point columns.
+No repeated ids and one parent per child are checked on whole sets, and the
+radii, float range, roots and cycles by the graph, which checks itself when
+it is built.  The line walker, which reads one record at a time, runs only
+when one of those checks fails: it accepts exactly the files the column read
+accepts, and raises the located error.
 
 Errors in either format name the file's line, counted at \\n, \\r\\n and \\r
 only.  Records are still the str.splitlines pieces, so a record after a form
@@ -52,8 +53,6 @@ from .core import (
     RawVesselGraph,
     Region,
     TreeError,
-    VesselPoint,
-    VesselSegment,
     _id_sort_key,
     _with_parent,
 )
@@ -158,7 +157,7 @@ def parse_vess(text: Union[str, bytes]) -> RawVesselGraph:
 
 
 _BLOCK = 512  # records split into tokens at a time
-# Segment ids joined by " " with a trailing " ".
+# Ids joined by " " with a trailing " ".
 _IDS = re.compile(f"(?:(?:{_ID_RE.pattern}) )*")
 # Text that float() reads in a token outside _NUM_RE; see _read_numbers.
 _NOT_NUMS = ("+", "_", "e", "E", "n", "N", " .", ". ", "-.")
@@ -191,19 +190,20 @@ def _read_vess(text: str) -> Optional[RawVesselGraph]:
     Records are split into tokens a block at a time and taken in file order,
     one run of records of one kind at a time, with comments and blank lines
     anywhere.  Each run is checked as whole columns, and the ids it uses
-    against the points or segments read before it; the forest rules are
-    checked when the graph is built.  It reads exactly the files _walk_vess
+    against the points or segments read before it; the point values and the
+    forest rules are checked when the graph is built.  It reads exactly the files _walk_vess
     accepts, into an equal graph; for any other file it returns None.
     """
     records = text.splitlines()
     comments = "#" in text
     header = None
-    points: dict[str, VesselPoint] = {}
-    segments: dict[str, VesselSegment] = {}
+    x, y, z, radius = [], [], [], []  # the point columns
+    index: dict[str, int] = {}  # point id -> row
+    segments: dict[str, tuple[int, ...]] = {}
     parents: list[str] = []
     children: list[str] = []
     roots: list[str] = []
-    n_points = n_segments = 0
+    n_segments = 0
     for b in range(0, len(records), _BLOCK):
         block = list(filter(None, map(str.split, records[b:b + _BLOCK])))
         if comments:
@@ -223,27 +223,23 @@ def _read_vess(text: str) -> Optional[RawVesselGraph]:
                 values = _read_numbers(list(chain.from_iterable(columns)))
                 if values is None:
                     return None
-                n = len(group)
-                radii = values[3 * n:]
-                if not (min(radii) > 0.0 and -math.inf < min(values)
-                        and max(values) < math.inf):
-                    return None
-                rows = zip(values[:n], values[n:2 * n], values[2 * n:3 * n], radii)
-                points.update(zip(pids, map(tuple.__new__, repeat(VesselPoint), rows)))
-                n_points += n
+                n, k = len(x), len(group)
+                index.update(zip(pids, range(n, n + k)))
+                x += values[:k]
+                y += values[k:2 * k]
+                z += values[2 * k:3 * k]
+                radius += values[3 * k:]
             elif kind == "SEGMENT":
                 if min(lengths) < 4:
                     return None
                 sids = list(map(itemgetter(1), group))
                 if not _IDS.fullmatch(" ".join(sids) + " "):
                     return None
-                point = points.__getitem__
+                row = index.__getitem__
                 try:
-                    pts = [tuple(map(point, toks[2:])) for toks in group]
+                    segments.update(zip(sids, [tuple(map(row, toks[2:])) for toks in group]))
                 except KeyError:
                     return None
-                segments.update(zip(sids, map(tuple.__new__, repeat(VesselSegment),
-                                              zip(sids, pts))))
                 n_segments += len(group)
             elif kind == "CONNECT":
                 if lengths != {3}:
@@ -262,14 +258,15 @@ def _read_vess(text: str) -> Optional[RawVesselGraph]:
                 roots += rs
             else:
                 return None
-    # the graph's own check finds a repeated root, a root with a parent and a
-    # cycle; the edge set would hide a repeated CONNECT, so children are counted.
-    if (header is None or len(points) != n_points or len(segments) != n_segments
+    # the graph's own check finds a bad radius, a number past float range, a
+    # repeated root, a root with a parent and a cycle; the edge set would
+    # hide a repeated CONNECT, so children are counted.
+    if (header is None or len(index) != len(x) or len(segments) != n_segments
             or len(set(children)) != len(children)):
         return None
     try:
-        return RawVesselGraph(header[1], Region.from_code(header[2]), segments,
-                              frozenset(zip(parents, children)), tuple(roots))
+        return RawVesselGraph(header[1], Region.from_code(header[2]), x, y, z, radius,
+                              segments, frozenset(zip(parents, children)), tuple(roots))
     except ValueError:
         return None
 
@@ -277,8 +274,9 @@ def _read_vess(text: str) -> Optional[RawVesselGraph]:
 def _walk_vess(text: Union[str, bytes]) -> RawVesselGraph:
     subject_id: Optional[str] = None
     region: Optional[Region] = None
-    points: dict[str, VesselPoint] = {}
-    segments: dict[str, VesselSegment] = {}
+    x, y, z, radius = [], [], [], []  # the point columns
+    index: dict[str, int] = {}  # point id -> row
+    segments: dict[str, tuple[int, ...]] = {}
     edges: set[tuple[str, str]] = set()
     # union-find toward each segment's tree root: up[s] is some ancestor of
     # s, and only segments that have a parent have an entry
@@ -304,16 +302,17 @@ def _walk_vess(text: Union[str, bytes]) -> RawVesselGraph:
             if len(toks) != 6:
                 raise SyntaxParseError("POINT needs <pid> <x> <y> <z> <radius>", lineno)
             pid = toks[1]
-            if pid in points:
+            if pid in index:
                 raise DuplicateIdError(f"duplicate point id {pid!r}", lineno)
-            x, y, z = (_float(t, lineno, "coordinate") for t in toks[2:5])
-            r = _float(toks[5], lineno, "radius")
-            if r <= 0:
-                raise BadRadiusError(f"point {pid!r} has radius {r} <= 0", lineno)
-            try:
-                points[pid] = VesselPoint(x, y, z, r)
-            except ValueError as e:  # a number past float range read as inf
-                raise SyntaxParseError(str(e), lineno)
+            point = [_float(t, lineno, "coordinate") for t in toks[2:5]]
+            point.append(_float(toks[5], lineno, "radius"))
+            if point[3] <= 0:
+                raise BadRadiusError(f"point {pid!r} has radius {point[3]} <= 0", lineno)
+            if not all(map(math.isfinite, point)):  # a number past float range reads as inf
+                raise SyntaxParseError(f"non-finite coordinate/radius in point {pid!r}", lineno)
+            index[pid] = len(x)
+            for column, v in zip((x, y, z, radius), point):
+                column.append(v)
         elif kind == "SEGMENT":
             if len(toks) < 2:
                 raise SyntaxParseError("SEGMENT needs <sid> <pid>...", lineno)
@@ -326,12 +325,10 @@ def _walk_vess(text: Union[str, bytes]) -> RawVesselGraph:
                 raise SegmentTooShortError(
                     f"segment {sid!r} has {len(toks) - 2} point(s), needs >= 2", lineno
                 )
-            pts = []
             for pid in toks[2:]:
-                if pid not in points:
+                if pid not in index:
                     raise DanglingReferenceError(f"unknown point id {pid!r}", lineno)
-                pts.append(points[pid])
-            segments[sid] = VesselSegment(sid, tuple(pts))
+            segments[sid] = tuple(map(index.__getitem__, toks[2:]))
         elif kind == "CONNECT":
             if len(toks) != 3:
                 raise SyntaxParseError("CONNECT needs <parent_sid> <child_sid>", lineno)
@@ -368,7 +365,8 @@ def _walk_vess(text: Union[str, bytes]) -> RawVesselGraph:
     if subject_id is None or region is None:
         raise SyntaxParseError("missing HEADER record")
     try:
-        return RawVesselGraph(subject_id, region, segments, frozenset(edges), tuple(roots))
+        return RawVesselGraph(subject_id, region, x, y, z, radius, segments,
+                              frozenset(edges), tuple(roots))
     except ValueError as e:  # no roots, or a segment no root reaches
         raise DanglingReferenceError(str(e))
 
@@ -390,17 +388,20 @@ def _bad_subject(subject_id: str) -> str:
 def serialize_vess(graph: RawVesselGraph) -> bytes:
     """Canonical form: records sorted by id, point ids assigned sequentially.
 
-    A subject outside the subject grammar raises ValueError."""
+    This is the graph's value: a row that segments share is written once per
+    segment, and one no segment uses is not written.  A subject outside the
+    subject grammar raises ValueError."""
     if not _SUBJECT_RE.fullmatch(graph.subject_id):
         raise ValueError(_bad_subject(graph.subject_id))
+    x, y, z, radius = graph.x, graph.y, graph.z, graph.radius
     point_lines: list[str] = []
     seg_lines = []
     for sid in sorted(graph.segments, key=_id_sort_key):
         pids = []
-        for pt in graph.segments[sid].points:
+        for row in graph.segments[sid]:
             pids.append(f"p{len(point_lines) + 1}")
-            point_lines.append(f"POINT {pids[-1]} {_num(pt.x)} {_num(pt.y)} {_num(pt.z)} "
-                               f"{_num(pt.radius)}")
+            point_lines.append(f"POINT {pids[-1]} {_num(x[row])} {_num(y[row])} {_num(z[row])} "
+                               f"{_num(radius[row])}")
         seg_lines.append(f"SEGMENT {sid} " + " ".join(pids))
     lines = [f"HEADER {graph.subject_id} {graph.region.value}"] + point_lines + seg_lines
     for p, c in sorted(graph.edges, key=lambda e: (_id_sort_key(e[0]), _id_sort_key(e[1]))):
@@ -594,8 +595,10 @@ def serialize_dltree(tree: BinaryTree) -> bytes:
     the parser refuses, raises ValueError."""
     if not _SUBJECT_RE.fullmatch(tree.subject_id):
         raise ValueError(_bad_subject(tree.subject_id))
-    bad = next(filterfalse(_ID_RE.fullmatch, tree.ids), None)
-    if bad is not None:
+    # one match over the ids joined by " "; an id that holds a " " adds one
+    joined = " ".join(tree.ids) + " "
+    if joined.count(" ") != len(tree.ids) or not _IDS.fullmatch(joined):
+        bad = next(filterfalse(_ID_RE.fullmatch, tree.ids))
         raise ValueError(f"node id {bad!r} is outside the .dltree id grammar")
     if math.inf in tree.thickness:
         bad = tree.ids[tree.thickness.index(math.inf)]

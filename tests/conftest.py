@@ -11,8 +11,6 @@ from dlview.core import (
     BinaryTree,
     RawVesselGraph,
     Region,
-    VesselPoint,
-    VesselSegment,
 )
 
 
@@ -65,14 +63,13 @@ def random_vess_graph(rng: random.Random, max_segments: int = 40,
     n_roots = 2 if two_roots else 1
     sids = [str(i) for i in range(1, n + 1)]
     rng.shuffle(sids)
-    segments = {}
+    points = {}
     for sid in sids:
-        pts = tuple(
-            VesselPoint(rng.uniform(-10, 10), rng.uniform(-10, 10),
-                        rng.uniform(-10, 10), round(rng.uniform(0.05, 2.0), 4))
+        points[sid] = [
+            (rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-10, 10),
+             round(rng.uniform(0.05, 2.0), 4))
             for _ in range(rng.randint(2, 5))
-        )
-        segments[sid] = VesselSegment(sid, pts)
+        ]
     roots = sids[:n_roots]
     edges = set()
     attached = list(roots)
@@ -81,8 +78,24 @@ def random_vess_graph(rng: random.Random, max_segments: int = 40,
         parent = attached[-1] if rng.random() < 0.4 else rng.choice(attached)
         edges.add((parent, sid))
         attached.append(sid)
-    return RawVesselGraph(subject_id, region, segments,
-                          frozenset(edges), tuple(sorted(roots, key=int)))
+    # rows in the order serialize_vess writes them, so a graph read back from
+    # its bytes equals it
+    points = {sid: points[sid] for sid in sorted(points, key=int)}
+    return vess_graph(subject_id, region, points, edges, sorted(roots, key=int))
+
+
+def vess_graph(subject_id: str, region: Region, points: dict, edges, roots) -> RawVesselGraph:
+    """The graph whose segment sid runs through points[sid], a list of
+    (x, y, z, radius); rows are laid out segment by segment, in the order of
+    points."""
+    columns: tuple[list[float], ...] = ([], [], [], [])
+    segments = {}
+    for sid, pts in points.items():
+        n = len(columns[0])
+        segments[sid] = tuple(range(n, n + len(pts)))
+        for column, values in zip(columns, zip(*pts)):
+            column += values
+    return RawVesselGraph(subject_id, region, *columns, segments, frozenset(edges), tuple(roots))
 
 
 def raw_graph_trunk_counts(graph: RawVesselGraph):

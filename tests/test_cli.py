@@ -231,6 +231,27 @@ def test_extract_output_is_pinned(tmp_path):
         40, "0dd6ab41f2c256511f3c332d2a3f8822381b2896da8779a9fca0b5fb9dcaccec")
 
 
+def test_extract_output_of_one_and_two_root_forests_is_pinned(tmp_path):
+    """Every byte extract writes for 50 forests, every third with two roots;
+    the digest was taken before the graph held its points as columns."""
+    rng = random.Random(2323)
+    inputs = []
+    for i in range(50):
+        graph = random_vess_graph(rng, max_segments=80, subject_id=f"v{i:02d}",
+                                  region=list(Region)[i % 4], two_roots=i % 3 == 0,
+                                  min_segments=2)
+        inputs.append(tmp_path / f"v{i:02d}.vess")
+        inputs[-1].write_bytes(serialize_vess(graph))
+    out = tmp_path / "trees"
+    assert run("extract", *map(str, inputs), "--out-dir", str(out)) == EXIT_OK
+    trees = [p.read_bytes() for p in out.iterdir()]
+    # 17 phantom roots, 45 trees with a polyfurcation's synthetic trunk
+    assert (sum(b"(phantom:_," in t for t in trees), sum(b"~1:" in t for t in trees),
+            sum(t.count(b"(") for t in trees)) == (17, 45, 1700)
+    assert _digest(out) == (
+        50, "4d481a4c1a1bc96784d819e923575723e7e45880016870b0142be1f2a2cf5447")
+
+
 def _rows(path: Path) -> list[tuple[str, ...]]:
     return sorted(tuple(line.split("\t")[:4]) for line in path.read_text().splitlines()[1:])
 

@@ -14,8 +14,6 @@ from dlview.core import (
     Region,
     TreeError,
     UnknownNodeError,
-    VesselPoint,
-    VesselSegment,
     _id_sort_key,
     _with_parent,
 )
@@ -78,27 +76,46 @@ def test_unknown_node_raises():
         t.position("nope")
 
 
-def test_vessel_point_validation():
-    with pytest.raises(ValueError):
-        VesselPoint(0, 0, 0, 0.0)
-    with pytest.raises(ValueError):
-        VesselPoint(float("nan"), 0, 0, 1.0)
-    with pytest.raises(ValueError):
-        VesselSegment("1", (VesselPoint(0, 0, 0, 1.0),))
+_GOOD_POINTS = {"x": (0.0, 1.0), "y": (0.0, 0.0), "z": (0.0, 0.0), "radius": (1.0, 0.5)}
+NAN, INF = math.nan, math.inf
 
 
-def test_vessel_point_and_segment_are_tuples():
-    p = VesselPoint(1.0, 2.0, 3.0, 0.5)
-    assert p == VesselPoint(1.0, 2.0, 3.0, 0.5) == (1.0, 2.0, 3.0, 0.5)
-    assert (p.x, p.y, p.z, p.radius) == tuple(p)
-    assert p < VesselPoint(1.0, 2.0, 4.0, 0.5)
-    # tuple.__new__ skips the checks, for values the caller has checked
-    q = tuple.__new__(VesselPoint, (1.0, 2.0, 3.0, 0.5))
-    assert type(q) is VesselPoint and q == p
-    seg = VesselSegment("1", (p, q))
-    assert seg == tuple.__new__(VesselSegment, ("1", (p, q))) == ("1", (p, q))
-    sid, points = seg
-    assert (sid, points, len(seg)) == (seg.segment_id, seg.points, 2)
+_BAD_POINT = r"point row {} \({}\) needs finite values, radius > 0"
+_BAD_SEGMENT = r"segment '1' needs >= 2 points, in rows 0\.\.1"
+
+
+@pytest.mark.parametrize("bad, rows, problem", [
+    ({"radius": (1.0, 0.0)}, (0, 1), _BAD_POINT.format(1, "1.0, 0.0, 0.0, 0.0")),
+    ({"radius": (-0.5, 1.0)}, (0, 1), _BAD_POINT.format(0, "0.0, 0.0, 0.0, -0.5")),
+    ({"x": (0.0, NAN)}, (0, 1), _BAD_POINT.format(1, "nan, 0.0, 0.0, 0.5")),
+    ({"y": (NAN, -1.0)}, (0, 1), _BAD_POINT.format(0, "0.0, nan, 0.0, 1.0")),
+    ({"radius": (1.0, NAN)}, (0, 1), _BAD_POINT.format(1, "1.0, 0.0, 0.0, nan")),
+    ({"z": (0.0, INF)}, (0, 1), _BAD_POINT.format(1, "1.0, 0.0, inf, 0.5")),
+    ({"x": (-INF, 0.0)}, (0, 1), _BAD_POINT.format(0, "-inf, 0.0, 0.0, 1.0")),
+    ({"radius": (INF, 1.0)}, (0, 1), _BAD_POINT.format(0, "0.0, 0.0, 0.0, inf")),
+    ({}, (0,), _BAD_SEGMENT),
+    ({}, (0, 2), _BAD_SEGMENT),
+    ({}, (-1, 0), _BAD_SEGMENT),
+    ({"z": (0.0,)}, (0, 1), r"point columns differ in length: \[2, 2, 1, 2\]"),
+], ids=["radius-0", "negative-radius", "nan-x", "nan-first", "nan-radius", "inf-z", "minus-inf-x",
+        "inf-radius", "1-point-segment", "row-past-end", "negative-row", "unequal-columns"])
+def test_a_graph_with_bad_points_cannot_be_built(bad, rows, problem):
+    columns = {**_GOOD_POINTS, **bad}
+    with pytest.raises(ValueError, match=problem):
+        RawVesselGraph("s", Region.BACK, **columns, segments={"1": rows},
+                       edges=frozenset(), roots=("1",))
+
+
+def test_a_graph_holds_its_points_as_tuple_columns():
+    # a row two segments share and a row no segment uses are kept as they are
+    g = RawVesselGraph("s", Region.BACK, [0.0, 1.0, 2.0], [0.0] * 3, [0.0] * 3, [1.0, 0.5, 0.25],
+                       {"1": (0, 1), "2": (1, 0)}, frozenset({("1", "2")}), ("1",))
+    assert (g.x, g.y, g.radius) == ((0.0, 1.0, 2.0), (0.0,) * 3, (1.0, 0.5, 0.25))
+    assert g.segments == {"1": (0, 1), "2": (1, 0)}
+    # finite values whose column sum overflows are finite
+    huge = RawVesselGraph("s", Region.BACK, (1e308, 1e308), (-1e308, -1e308), (0.0, 0.0),
+                          (1e308, 1e308), {"1": (0, 1)}, frozenset(), ("1",))
+    assert huge.radius == (1e308, 1e308)
 
 
 def test_duplicate_node_ids_rejected():
@@ -161,10 +178,9 @@ def test_repr_eq_hash_of_a_deep_chain():
 
 
 def _graph(declared, edges, roots):
-    point = VesselPoint(0.0, 0.0, 0.0, 1.0)
-    return RawVesselGraph("s", Region.BACK,
-                          {sid: VesselSegment(sid, (point, point)) for sid in declared},
-                          frozenset(edges), tuple(roots))
+    # every segment runs twice through the one point
+    return RawVesselGraph("s", Region.BACK, (0.0,), (0.0,), (0.0,), (1.0,),
+                          {sid: (0, 0) for sid in declared}, frozenset(edges), tuple(roots))
 
 
 # numeric ids by value, equal values by the id string, then the others as

@@ -10,27 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlview
-from dlview.core import (
-    RawVesselGraph,
-    Region,
-    VesselPoint,
-    VesselSegment,
-)
+from dlview.core import RawVesselGraph, Region
 from dlview.cli import main
 from dlview.extract import extract_binary_tree
-from dlview.ingest import serialize_dltree, serialize_vess
+from dlview.ingest import parse_vess, serialize_dltree, serialize_vess
 
-from conftest import random_vess_graph
+from conftest import random_vess_graph, vess_graph
 
 
 def seg(sid, *radii):
-    pts = tuple(VesselPoint(float(i), 0.0, 0.0, r) for i, r in enumerate(radii))
-    return VesselSegment(sid, pts)
+    """A segment id and its points (i, 0, 0, radius), in flow order."""
+    return sid, [(float(i), 0.0, 0.0, r) for i, r in enumerate(radii)]
 
 
 def graph(segments, edges, roots, subject="s", region=Region.BACK):
-    return RawVesselGraph(subject, region, {s.segment_id: s for s in segments},
-                          frozenset(edges), tuple(roots))
+    return vess_graph(subject, region, dict(segments), edges, roots)
 
 
 def test_root_with_two_children_three_nodes():
@@ -174,7 +168,8 @@ def test_three_roots_rejected():
 
 def test_empty_graph_rejected():
     with pytest.raises(ValueError):
-        extract_binary_tree(RawVesselGraph("s", Region.BACK, {}, frozenset(), ()))
+        extract_binary_tree(RawVesselGraph("s", Region.BACK, (), (), (), (), {},
+                                           frozenset(), ()))
 
 
 def test_no_unary_internal_nodes_and_leaf_preservation():
@@ -272,9 +267,8 @@ def test_ids_with_one_numeric_value_order_the_same_under_every_hash_seed(tmp_pat
 
 def test_invalid_hand_built_graph_rejected():
     with pytest.raises(ValueError):
-        extract_binary_tree(RawVesselGraph(
-            "s", Region.BACK, {"1": seg("1", 0.5, 0.5), "2": seg("2", 0.4, 0.4)},
-            frozenset({("1", "2"), ("2", "1")}), ("1",)))
+        extract_binary_tree(graph([seg("1", 0.5, 0.5), seg("2", 0.4, 0.4)],
+                                  {("1", "2"), ("2", "1")}, ("1",)))
 
 
 def test_deep_nested_splits_extract_without_recursion(tmp_path):
@@ -297,3 +291,41 @@ def test_deep_nested_splits_extract_without_recursion(tmp_path):
     vess.write_bytes(serialize_vess(g))
     assert main(["extract", str(vess), "--out-dir", str(tmp_path)]) == 0
     assert (tmp_path / "s_B.dltree").read_bytes() == serialize_dltree(t)
+
+
+def _named_vess(segments, connects, roots):
+    """Two points per segment; the k-th segment's radius is 1 + k / 10."""
+    lines = ["HEADER s B"]
+    for k, sid in enumerate(segments):
+        lines += [f"POINT {sid}a 0 0 0 {1 + k / 10}", f"POINT {sid}b 1 0 0 {1 + k / 10}"]
+    lines += [f"SEGMENT {sid} {sid}a {sid}b" for sid in segments]
+    lines += [f"CONNECT {p} {c}" for p, c in connects]
+    lines += [f"ROOT {r}" for r in roots]
+    return "\n".join(lines) + "\n"
+
+
+_COMB_NAMED = (("5", "6", "7", "8", "9", "5~1"),
+               (("5", "6"), ("5", "7"), ("5", "8"), ("6", "5~1"), ("6", "9")))
+
+
+@pytest.mark.parametrize("roots, tree", [
+    (("5",), b"(5:2.0000,(6:2.2000,(9:2.8000),(5~1:3.0000)),(5~1~:2.0000,(7:2.4000),(8:2.6000)))"),
+    (("5", "10"), b"(phantom:_,(5:2.0000,(6:2.2000,(9:2.8000),(5~1:3.0000)),"
+                  b"(5~1~:2.0000,(7:2.4000),(8:2.6000))),(10:3.2000))"),
+], ids=["one-root", "two-roots"])
+def test_a_comb_trunk_steps_aside_for_a_segment_trunk_of_its_name(tmp_path, roots, tree):
+    # 5 splits three ways, so its synthetic trunk would be 5~1, the name of
+    # the segment trunk under 6; it takes a '~' instead
+    segments, connects = _COMB_NAMED
+    vess = tmp_path / "comb.vess"
+    vess.write_text(_named_vess(segments + roots[1:], connects, roots))
+    assert main(["extract", str(vess), "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "s_B.dltree").read_bytes() == b"HEADER s B\n" + tree + b"\n"
+
+
+def test_a_comb_trunk_keeps_its_name_when_no_trunk_takes_it():
+    # segment 5~1 continues the chain under 6, so no trunk is named after it
+    text = _named_vess(("5", "6", "7", "8", "5~1"),
+                       (("5", "6"), ("5", "7"), ("5", "8"), ("6", "5~1")), ("5",))
+    assert serialize_dltree(extract_binary_tree(parse_vess(text))) == (
+        b"HEADER s B\n(5:2.0000,(6:2.5000),(5~1:2.0000,(7:2.4000),(8:2.6000)))\n")

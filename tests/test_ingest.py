@@ -212,6 +212,16 @@ def test_serialize_formats_four_decimals():
     assert serialize_dltree(t) == b"HEADER s B\n(r:1.2500)\n"
 
 
+@pytest.mark.parametrize("bad", ["a b", "a\nb", "", " a", "b "])
+def test_serialize_names_an_id_outside_the_grammar(bad):
+    # the ids are checked joined by " ": an id that holds a " " or is empty
+    # must not pass as two ids, or as none
+    for ids, size in (((bad,), (1,)), (("r", "a", bad), (3, 1, 1))):
+        tree = BinaryTree("s", Region.BACK, ids=ids, thickness=(1.0,) * len(ids), size=size)
+        with pytest.raises(ValueError, match=f"node id {re.escape(repr(bad))} is outside"):
+            serialize_dltree(tree)
+
+
 def test_serialize_refuses_an_infinite_thickness():
     # the parser reads no thickness past float range, so inf would not read back
     t = BinaryTree("s", Region.BACK, ids=("r", "a", "b"),
@@ -238,6 +248,22 @@ def test_vess_roundtrip_random():
         g2 = parse_vess(data)
         assert g2 == g
         assert serialize_vess(g2) == data
+
+
+def test_graphs_are_equal_by_columns_and_serialize_by_value():
+    # the same points in another row order, with a shared and an unused row
+    text = ("HEADER s B\nPOINT a 0 0 0 1.0\nPOINT b 1 0 0 0.5\nPOINT c 2 0 0 0.25\n"
+            "SEGMENT 1 a b\nSEGMENT 2 b c\nCONNECT 1 2\nROOT 1\n")
+    other = ("HEADER s B\nPOINT u 9 9 9 9.0\nPOINT c 2 0 0 0.25\nPOINT b 1 0 0 0.5\n"
+             "POINT a 0 0 0 1.0\nSEGMENT 1 a b\nSEGMENT 2 b c\nCONNECT 1 2\nROOT 1\n")
+    g, h = parse_vess(text), parse_vess(other)
+    assert (g.x, g.segments) == ((0.0, 1.0, 2.0), {"1": (0, 1), "2": (1, 2)})
+    assert (h.x, h.segments) == ((9.0, 2.0, 1.0, 0.0), {"1": (3, 2), "2": (2, 1)})
+    assert g != h
+    assert serialize_vess(g) == serialize_vess(h) == (
+        b"HEADER s B\nPOINT p1 0.0 0.0 0.0 1.0\nPOINT p2 1.0 0.0 0.0 0.5\n"
+        b"POINT p3 1.0 0.0 0.0 0.5\nPOINT p4 2.0 0.0 0.0 0.25\n"
+        b"SEGMENT 1 p1 p2\nSEGMENT 2 p3 p4\nCONNECT 1 2\nROOT 1\n")
 
 
 @settings(max_examples=150, deadline=None)
