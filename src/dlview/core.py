@@ -110,7 +110,7 @@ class RawVesselGraph:
     def validate(self) -> None:
         """Raise ValueError unless the columns hold points and the edges form
         a forest under `roots`.  The columns are checked whole (equal
-        lengths, finite values, radii > 0, each segment >= 2 rows in range);
+        lengths, finite values, radii > 0, each segment >= 2 int rows in range);
         only a bad graph pays a loop that names what is wrong.  Then one walk
         from the roots must reach each declared segment once and no other
         id, and every edge parent must be declared.  A second parent, a
@@ -127,11 +127,12 @@ class RawVesselGraph:
                 if not (point[3] > 0.0 and all(map(math.isfinite, point))):
                     raise ValueError(f"point row {row} {point} needs finite values, radius > 0")
         rows = self.segments.values()
-        if (min(map(len, rows), default=2) < 2 or min(chain.from_iterable(rows), default=0) < 0
+        if (min(map(len, rows), default=2) < 2 or {*map(type, chain.from_iterable(rows))} - {int}
+                or min(chain.from_iterable(rows), default=0) < 0
                 or max(chain.from_iterable(rows), default=-1) >= n):
             for sid, seg in self.segments.items():
-                if len(seg) < 2 or not 0 <= min(seg) <= max(seg) < n:
-                    raise ValueError(f"segment {sid!r} needs >= 2 points, in rows 0..{n - 1}")
+                if len(seg) < 2 or {*map(type, seg)} - {int} or not 0 <= min(seg) <= max(seg) < n:
+                    raise ValueError(f"segment {sid!r} needs >= 2 points, in int rows 0..{n - 1}")
         if not self.roots:
             raise ValueError("graph has no roots")
         seen: set[str] = set()

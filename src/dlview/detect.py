@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-import statistics
 from bisect import insort
 from dataclasses import dataclass
 
@@ -136,22 +135,22 @@ def detect_misconnection(tree: BinaryTree, config: DetectorConfig = DetectorConf
 def detect_starting_point(tree: BinaryTree, config: DetectorConfig = DetectorConfig()):
     """Flag the root when its heavy path, which always descends into the child
     with more descendants, starts with a chain of thick nodes."""
-    chain = []
+    excess = []  # each chain node's thickness over the threshold
     i = 0
     while True:
         t = tree.thickness[i]
         if t is not None:  # the phantom root carries no thickness
             if t < config.startpoint_thick_mm:
                 break
-            chain.append(t)
+            excess.append(t - config.startpoint_thick_mm)
         kids = tree.children(i)
         if not kids:
             break
         i = max(kids, key=tree.size.__getitem__)  # the first of equals: a tie keeps the left child
-    if len(chain) < config.startpoint_min_chain:
+    if len(excess) < config.startpoint_min_chain:
         return []
-    try:
-        severity = len(chain) * statistics.fmean(t - config.startpoint_thick_mm for t in chain)
+    try:  # n times the mean as statistics.fmean rounds it, fsum / n
+        severity = len(excess) * (math.fsum(excess) / len(excess))
     except OverflowError:  # the excesses sum past the float maximum
         severity = math.inf
     return [FlagRecord(

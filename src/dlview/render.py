@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
 from typing import NamedTuple
-from xml.sax.saxutils import escape
 
 from .layout import BIN_COUNT, COLOR_RAMP, THICKNESS_RANGE_MM, DlLayout
 
@@ -212,6 +211,7 @@ def render_svg(layout: DlLayout, options: RenderOptions = RenderOptions()) -> by
     # the note apart keeps the join and encode of the rest on a 1-byte string.
     svg = ("\n".join(parts) + "\n").encode("utf-8")
     if layout.thickness_min is not None:
+        # a .2f float prints only digits, ".", "-", "inf" or "nan": XML escaping changes nothing
         note = f"{layout.thickness_min:.2f}–{layout.thickness_max:.2f} mm"
-        svg += f"{frame.note_open}{escape(note)}</text>\n".encode("utf-8")
+        svg += f"{frame.note_open}{note}</text>\n".encode("utf-8")
     return svg + b"</svg>\n"

@@ -5,6 +5,8 @@ import os
 import random
 import shutil
 import stat
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -793,3 +795,19 @@ def test_cli_survives_mutated_inputs(tmp_path):
         # every tree that extract or apply-edits wrote reads back
         for written in [*out.glob("fixed/*.dltree"), *out.glob("trees/*.dltree")]:
             parse_dltree(written.read_bytes())
+
+
+# what xml.sax.saxutils and statistics would pull in; pathlib loads
+# urllib.parse itself on 3.10-3.12, so that one is allowed
+_NOT_IMPORTED = ("xml", "urllib.request", "http", "email", "ssl", "socket",
+                 "statistics", "decimal", "fractions")
+
+
+def test_the_cli_imports_only_what_it_runs():
+    # -I ignores PYTHONPATH, so the child puts src on sys.path itself
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import dlview.cli; "
+            f"print(sorted(set({_NOT_IMPORTED!r}) & sys.modules.keys()))")
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code],
+                         capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

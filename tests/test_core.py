@@ -81,7 +81,7 @@ NAN, INF = math.nan, math.inf
 
 
 _BAD_POINT = r"point row {} \({}\) needs finite values, radius > 0"
-_BAD_SEGMENT = r"segment '1' needs >= 2 points, in rows 0\.\.1"
+_BAD_SEGMENT = r"segment '1' needs >= 2 points, in int rows 0\.\.1"
 
 
 @pytest.mark.parametrize("bad, rows, problem", [
@@ -104,6 +104,14 @@ def test_a_graph_with_bad_points_cannot_be_built(bad, rows, problem):
     with pytest.raises(ValueError, match=problem):
         RawVesselGraph("s", Region.BACK, **columns, segments={"1": rows},
                        edges=frozenset(), roots=("1",))
+
+
+@pytest.mark.parametrize("row", [1.0, True, "1"], ids=["float", "bool", "str"])
+def test_a_segment_row_must_be_an_int(row):
+    # a float row would fail later as a tuple index, and True would read row 1
+    with pytest.raises(ValueError, match=r"segment '2' needs >= 2 points, in int rows 0\.\.1"):
+        RawVesselGraph("s", Region.BACK, **_GOOD_POINTS, segments={"1": (0, 1), "2": (0, row)},
+                       edges=frozenset({("1", "2")}), roots=("1",))
 
 
 def test_a_graph_holds_its_points_as_tuple_columns():

@@ -1,10 +1,13 @@
 import dataclasses
 import math
 import random
+import statistics
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dlview.core import BinaryNode, BinaryTree, Region
 from dlview.detect import (
@@ -186,6 +189,29 @@ def test_thicknesses_near_the_float_maximum_scan_without_overflow():
     c = BinaryNode("c", big, BinaryNode("d", big, BinaryNode("e", big, BinaryNode("f", top))))
     t = tree(BinaryNode("r", big, BinaryNode("p", big, c), BinaryNode("x", 1.0)))
     assert detect_misconnection(t) == []
+
+
+_TOP = 1.7976931348623157e308  # the float maximum
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(3.0, 10.0), st.floats(1e307, _TOP)), min_size=3, max_size=12),
+       st.booleans())
+@example([_TOP, _TOP, 3.0], False)
+@example([3.5, 1e308, _TOP, 1e308], True)
+def test_starting_point_severity_is_len_times_fmean(chain, phantom):
+    # a unary chain of thick nodes over one thin leaf, maybe under a phantom
+    # root whose other child is a lone thin leaf
+    node = BinaryNode("leaf", 1.0)
+    for i, x in enumerate(reversed(chain)):
+        node = BinaryNode(f"n{i}", x, node)
+    t = tree(BinaryNode("ph", None, node, BinaryNode("z", 1.0)) if phantom else node)
+    thick = DetectorConfig().startpoint_thick_mm  # 3.0, the strategy's lower bound
+    try:
+        expected = len(chain) * statistics.fmean(x - thick for x in chain)
+    except OverflowError:
+        expected = math.inf
+    assert [f.severity for f in detect_starting_point(t)] == [expected]
 
 
 def test_vein_basic():

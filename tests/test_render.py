@@ -1,5 +1,7 @@
+import math
 import random
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -41,6 +43,17 @@ def test_annotation_text():
     lay = build_layout(BinaryTree("s", Region.BACK, root))
     svg = render_svg(lay).decode()
     assert "0.58–3.97 mm" in svg
+
+
+@pytest.mark.parametrize("lo, hi, phantom", [
+    (0.0, 0.0, False), (0.0, math.inf, True), (math.inf, math.inf, False),
+    (1e-3, 1e308, True), (1e308, 1.7976931348623157e308, False)])
+def test_range_note_needs_no_escaping(lo, hi, phantom):
+    top = "ph" if phantom else "r"
+    root = BinaryNode(top, None if phantom else hi, BinaryNode("a", lo), BinaryNode("b", hi))
+    svg = render_svg(build_layout(BinaryTree("s", Region.BACK, root))).decode()
+    note = svg.rsplit("</text>", 1)[0].rsplit(">", 1)[1]
+    assert note == f"{lo:.2f}–{hi:.2f} mm" == escape(note)
 
 
 def test_rect_count_rule():
