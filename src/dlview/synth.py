@@ -8,6 +8,18 @@ DEEP_CAP_LEVEL/DEEP_CAP_MM cap) is fixed, and so are the injections: they
 clear the default detector thresholds (DETECTOR), veins and grafts by a
 5x-epsilon margin (MARGIN_MM), so that the injected locus is unambiguous,
 and each reports the ground-truth node for recall/precision checks.
+
+A seed defines its tree.  `generate_tree` draws from `random.Random(seed)`
+node by node in preorder, in this order:
+
+1. the node's branch decision;
+2. if it branches, the left child's shrink, then its noise;
+3. the left subtree;
+4. the right child's shrink and noise, drawn when the walk reaches it.
+
+A child is max(parent * uniform(SHRINK_LO, SHRINK_HI) - uniform(0, NOISE),
+THIN_FLOOR) thick, capped at DEEP_CAP_MM from DEEP_CAP_LEVEL on.  Another
+order or other arithmetic gives other corpora; tests pin the bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ import random
 from dataclasses import dataclass, replace
 
 from . import edit
-from .core import BinaryTree, CorpusEntry, Region, subtree_sizes
+from .core import BinaryTree, CorpusEntry, Region, _with_parent, subtree_sizes
 from .detect import DetectorConfig, FlagKind
 
 
@@ -27,8 +39,10 @@ class GenParams:
     decay: float = 0.05        # linear decay of branching probability per level
 
     def __post_init__(self):
-        # p0 may exceed 1; the per-level probability is clamped into [0, 1]
-        if self.p0 < 0.0 or self.decay < 0:
+        # p0 may exceed 1; the per-level probability is clamped into [0, 1].
+        # A NaN p0 or an infinite decay would give one-node trees without a
+        # word, and an infinite p0 would grow every tree to MAX_TREE_NODES.
+        if not all(math.isfinite(v) and v >= 0.0 for v in (self.p0, self.decay)):
             raise ValueError("branching parameters out of range")
 
 
@@ -59,36 +73,46 @@ def _branch_p(params: GenParams, level: int) -> float:
 
 def generate_tree(params: GenParams, seed: int, subject_id: str = "synth",
                   region: Region = Region.BACK) -> BinaryTree:
-    rng = random.Random(seed)
-    thickness, parent = [], []
-    # (parent position, level, thickness).  The rng draws in preorder: a node's
-    # branch decision, the left child's thickness, the left subtree, then the
-    # right child's thickness, which is None until the right child is popped.
-    stack = [(-1, 0, T0)]
-    while stack:
-        p, level, t = stack.pop()
-        if t is None:
-            t = _child_thickness(rng, thickness[p], level)
-        i = len(thickness)
-        if i == MAX_TREE_NODES:
-            raise ValueError(f"tree passed {MAX_TREE_NODES} nodes: p0={params.p0} and "
+    """The tree that `seed` defines, in the draw order the module states.
+
+    One flat loop: a left child is drawn and walked in place, and a right
+    child waits on a stack until its left sibling's subtree is done."""
+    draw = random.Random(seed).random
+    limit = MAX_TREE_NODES
+    span = SHRINK_HI - SHRINK_LO
+    branch_p = [_branch_p(params, 0)]  # by level, each computed once
+    thickness, parent = [T0], [-1]
+    waiting = []  # (parent position, level) of right children not drawn yet
+    i, level, t = 0, 0, T0
+    while True:
+        if draw() < branch_p[level]:
+            # walk into the left child in place; the right one waits
+            p = i
+            level += 1
+            waiting.append((p, level))
+            if level == len(branch_p):
+                branch_p.append(_branch_p(params, level))
+        elif waiting:
+            p, level = waiting.pop()
+            t = thickness[p]
+        else:
+            break
+        # random.uniform(a, b) is a + (b - a) * random(), and uniform(0, NOISE)
+        # is NOISE * random() to the bit
+        t = t * (SHRINK_LO + span * draw()) - NOISE * draw()
+        if t < THIN_FLOOR:
+            t = THIN_FLOOR
+        if t > DEEP_CAP_MM and level >= DEEP_CAP_LEVEL:
+            t = DEEP_CAP_MM
+        i += 1
+        if i == limit:
+            raise ValueError(f"tree passed {limit} nodes: p0={params.p0} and "
                              f"decay={params.decay} keep it branching")
         thickness.append(t)
         parent.append(p)
-        if rng.random() < _branch_p(params, level):
-            stack.append((i, level + 1, None))
-            stack.append((i, level + 1, _child_thickness(rng, t, level + 1)))
     ids = [f"n{k}" for k in range(1, len(thickness) + 1)]
-    return BinaryTree(subject_id, region, ids=ids, thickness=thickness,
-                      size=subtree_sizes(parent))
-
-
-def _child_thickness(rng, parent_t: float, level: int) -> float:
-    s = rng.uniform(SHRINK_LO, SHRINK_HI)
-    t = max(parent_t * s - rng.uniform(0.0, NOISE), THIN_FLOOR)
-    if level >= DEEP_CAP_LEVEL:
-        t = min(t, DEEP_CAP_MM)
-    return t
+    return _with_parent(BinaryTree(subject_id, region, ids=ids, thickness=thickness,
+                                   size=subtree_sizes(parent)), parent)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +134,7 @@ def inject_anomaly(tree: BinaryTree, kind: FlagKind, seed: int,
     if kind is FlagKind.VEIN:
         return _inject_vein(tree, rng)
     if kind is FlagKind.MISCONNECTION:
-        return _inject_misconnection(tree, rng, graft_size)
+        return _inject_misconnection(tree, rng, graft_size, _graft_sites(tree))
     if kind is FlagKind.STARTING_POINT:
         return _inject_starting_point(tree)
     raise ValueError(f"unknown anomaly kind {kind!r}")
@@ -135,25 +159,25 @@ def _inject_vein(tree: BinaryTree, rng):
                        [t, t * 0.9, t + MARGIN_MM], [3, 1, 1]), vein_id
 
 
-def _graft_sites(tree: BinaryTree):
-    """(parent, leaf, leaf's sibling subtree size) positions per leaf with a sibling."""
-    size = tree.size
-    for i in range(tree.node_count):
-        kids = tree.children(i)
-        if len(kids) == 2:
-            for leaf, sib in (kids, kids[::-1]):
-                if size[leaf] == 1:
-                    yield i, leaf, size[sib]
+def _graft_sites(tree: BinaryTree) -> list[tuple[int, int, int]]:
+    """(parent, leaf, leaf's sibling subtree size) positions per leaf with a
+    sibling, by parent position, left leaf first.  The sibling holds all of
+    the parent's slice but the parent and the leaf."""
+    size, parent = tree.size, tree.parent
+    return sorted((parent[leaf], leaf, size[parent[leaf]] - 2)
+                  for leaf in range(1, len(size))
+                  if size[leaf] == 1 and size[parent[leaf]] > 2)
 
 
-def _inject_misconnection(tree: BinaryTree, rng, graft_size: int | None):
+def _inject_misconnection(tree: BinaryTree, rng, graft_size: int | None, sites):
     """Replace a leaf with a generated over-thick subtree.
 
-    The host leaf must have a large-enough sibling subtree so that the graft
-    cannot shift any ancestor's subtree median.
+    The host leaf, one of `_graft_sites(tree)`, must have a large-enough
+    sibling subtree so that the graft cannot shift any ancestor's subtree
+    median.
     """
     graft_size_target = graft_size or max(DETECTOR.misconnection_min_subtree, 5)
-    candidates = [(parent, leaf) for parent, leaf, sib_size in _graft_sites(tree)
+    candidates = [(parent, leaf) for parent, leaf, sib_size in sites
                   if sib_size >= graft_size_target + 2]
     if not candidates:
         raise TreeTooSmallError("no leaf with a large enough sibling subtree")
@@ -196,7 +220,11 @@ def _inject_starting_point(tree: BinaryTree):
 
 def max_graft_size(tree: BinaryTree) -> int:
     """Largest misconnection graft this tree can host (0 if none)."""
-    return max([0] + [sib_size - 2 for _, _, sib_size in _graft_sites(tree)])
+    return _largest_graft(_graft_sites(tree))
+
+
+def _largest_graft(sites) -> int:
+    return max([0] + [sib_size - 2 for _, _, sib_size in sites])
 
 
 def repair_operation(tree_before: BinaryTree, kind: FlagKind, locus: str):
@@ -259,14 +287,18 @@ def inject_plan(entries: list[CorpusEntry], plan, rng: random.Random,
     for kind, candidates in plan:
         for idx in candidates:
             tree = dirty[idx].tree
-            graft = None
-            if kind is FlagKind.MISCONNECTION and graft_fraction is not None:
-                graft = max(DETECTOR.misconnection_min_subtree + 2,
-                            min(int(tree.node_count * graft_fraction),
-                                max_graft_size(tree), 300))
+            seed = rng.randrange(2**62)
             try:
-                new_tree, locus = inject_anomaly(tree, kind, rng.randrange(2**62),
-                                                 graft_size=graft)
+                if kind is FlagKind.MISCONNECTION and graft_fraction is not None:
+                    # one site list sizes the graft and places it
+                    sites = _graft_sites(tree)
+                    graft = max(DETECTOR.misconnection_min_subtree + 2,
+                                min(int(tree.node_count * graft_fraction),
+                                    _largest_graft(sites), 300))
+                    new_tree, locus = _inject_misconnection(tree, random.Random(seed),
+                                                            graft, sites)
+                else:
+                    new_tree, locus = inject_anomaly(tree, kind, seed)
             except TreeTooSmallError:
                 continue
             repairs.append(repair_operation(tree, kind, locus))

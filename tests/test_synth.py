@@ -1,11 +1,13 @@
+import hashlib
 import math
 import random
 
 import pytest
 
 from dlview import synth
-from dlview.core import Region
+from dlview.core import BinaryTree, Region
 from dlview.detect import FlagKind, scan_tree
+from dlview.edit import format_script
 from dlview.ingest import serialize_dltree
 from dlview.synth import (
     GenParams,
@@ -46,6 +48,87 @@ def test_params_validation():
     with pytest.raises(ValueError):
         GenParams(decay=-0.1)
     GenParams(p0=1.5)  # supercritical early levels are allowed
+
+
+@pytest.mark.parametrize("params", [dict(p0=math.nan), dict(p0=math.inf),
+                                    dict(decay=math.nan), dict(decay=math.inf)],
+                         ids=["p0-nan", "p0-inf", "decay-nan", "decay-inf"])
+def test_params_refuse_non_finite_values(params):
+    # a NaN p0 or an infinite decay gave one-node trees, an infinite p0 a
+    # tree that grew to MAX_TREE_NODES before it raised
+    with pytest.raises(ValueError, match="branching parameters out of range"):
+        GenParams(**params)
+
+
+def _tree_bytes(tree):
+    # the thicknesses' reprs pin every bit, not only the 4 decimals written
+    return serialize_dltree(tree) + repr(tree.thickness).encode()
+
+
+# (node count, sha256) over each setting's trees, taken before generate_tree
+# was one flat loop; bushy is the benchmark's bigtree ladder
+_BUSHY = [GenParams(p0=p0, decay=0.05) for p0 in (1.0, 1.05, 1.1, 1.15, 1.2)]
+PINNED_TREES = {
+    "p0 zero": ([GenParams(p0=0.0)], range(5), (
+        5, "cd9dc251c6c779a4bb3157cbc0d58fd2c65257bcb4a3cf33febad30bdbf7ee91")),
+    "deep": ([GenParams(p0=0.45, decay=0.0)], range(100), (
+        1124, "bafc06c8fc92cc24fd80ffec5a834c5529eecc4979ad9d694589fd5c487f4126")),
+    "default": ([GenParams()], range(40), (
+        9642, "0e5e4ac683b0fc10c44c55c285ab906059cc033930ea142e43f1d3c7db288c29")),
+    "acceptance 8": ([GenParams(p0=1.35, decay=0.1)], range(20), (
+        11574, "c4594bd6624724ac823adc319c6f45ac5eb57a23e4633d5c1bd1a2d8ee4134ca")),
+    "bushy": (_BUSHY, range(3), (
+        50769, "c5ae0f65c45bda63fdf5f6589c3ef17c6146e1f3b4eb1467f51fec742d4b1930")),
+}
+
+
+@pytest.mark.parametrize("setting", list(PINNED_TREES))
+def test_generate_tree_output_is_pinned(setting):
+    params_list, seeds, expected = PINNED_TREES[setting]
+    h = hashlib.sha256()
+    nodes = 0
+    for params in params_list:
+        for seed in seeds:
+            tree = generate_tree(params, seed)
+            nodes += tree.node_count
+            h.update(_tree_bytes(tree))
+    assert (nodes, h.hexdigest()) == expected
+
+
+@pytest.mark.parametrize("seed, expected", [
+    (0, (54938, "ab66c13e3d9652639f67fb08b547915d2e2984d15b904e0d063b2683f236bac8")),
+    (1, (55873, "d51dd9c864d1bcc373702a49453c31188064637d48b7c30e13f637f252621575")),
+])
+def test_acceptance_8_corpus_and_injection_are_pinned(seed, expected):
+    """Acceptance 8's corpus for one seed, clean and injected, with its
+    covariates, truth rows and repair script; taken as the trees above."""
+    entries = generate_corpus(100, 0.005, seed, base_params=GenParams(p0=1.35, decay=0.1))
+    dirty, truth, repairs = inject_corpus(entries, seed)
+    h = hashlib.sha256()
+    for e in entries + dirty:
+        h.update(_tree_bytes(e.tree) + repr(e.covariate).encode())
+    for subject, region, kind, locus in truth:
+        h.update(f"{subject}\t{region}\t{kind.value}\t{locus}\n".encode())
+    h.update(format_script(repairs).encode())
+    assert (sum(e.tree.node_count for e in dirty), h.hexdigest()) == expected
+
+
+def test_generated_tree_holds_the_parents_its_sizes_give():
+    for seed in range(30):
+        t = generate_tree(GenParams(p0=1.35, decay=0.1), seed)
+        bare = BinaryTree(t.subject_id, t.region, ids=t.ids, thickness=t.thickness, size=t.size)
+        assert t.parent == bare.parent
+
+
+def test_graft_sites_go_by_parent_then_left_leaf():
+    # r(a(a1, a2), b): the leaves come in preorder as a1, a2, b, but b's
+    # parent r comes first
+    t = BinaryTree("s", Region.BACK, ids=("r", "a", "a1", "a2", "b"),
+                   thickness=(3.0, 2.0, 1.0, 1.0, 2.0), size=(5, 3, 1, 1, 1))
+    assert list(synth._graft_sites(t)) == [(0, 4, 3), (1, 2, 1), (1, 3, 1)]
+    # a lone child has no sibling, and a one-node tree no parent
+    chain = BinaryTree("s", Region.BACK, ids=("r", "a"), thickness=(2.0, 1.0), size=(2, 1))
+    assert list(synth._graft_sites(chain)) == list(synth._graft_sites(chain.subtree(1))) == []
 
 
 def test_clean_trees_produce_zero_flags():
