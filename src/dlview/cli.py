@@ -107,6 +107,7 @@ def _read_config(path: Path | None) -> dict[str, int | float]:
         return {}
     types = {f.name: f.type for f in fields(DetectorConfig)}
     values = {}
+    first = {}  # key -> the line that gave it
     for lineno, _, _, line in ingest._lines(_read_text(path)):
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
@@ -114,6 +115,10 @@ def _read_config(path: Path | None) -> dict[str, int | float]:
         if key not in types:
             raise DataError(f"{path}:{lineno}: unknown key {key!r} "
                             f"(expected one of {', '.join(types)})")
+        if key in first:
+            raise DataError(f"{path}:{lineno}: key {key!r} given twice "
+                            f"(first on line {first[key]})")
+        first[key] = lineno
         try:
             values[key] = int(value) if types[key] == "int" else float(value)
             replace(DetectorConfig(), **{key: values[key]})
@@ -240,12 +245,12 @@ def cmd_synth(args) -> int:
     _write_atomic(out_dir / "ground_truth.tsv",
                   ("subject\tregion\tkind\tnode\n"
                    + "".join(r + "\n" for r in truth_rows)).encode("utf-8"))
-    age_lines = [f"{s}\t{a:.4f}" for s, a in sorted(ages.items())]
-    _write_atomic(out_dir / "ages.tsv",
-                  ("subject\tage\n" + "".join(l + "\n" for l in age_lines)).encode("utf-8"))
+    age_lines = [_COVARIATES_HEADER] + [f"{s}\t{a:.4f}" for s, a in sorted(ages.items())]
+    _write_atomic(out_dir / "ages.tsv", "".join(l + "\n" for l in age_lines).encode("utf-8"))
     return EXIT_OK
 
 
+_COVARIATES_HEADER = "subject\tage"  # line 1 of an ages.tsv; any other line 1 is a row
 # larger ages would overflow the regression's sums of squared deviations
 _MAX_COVARIATE = 1e150
 
@@ -253,7 +258,7 @@ _MAX_COVARIATE = 1e150
 def _read_covariates(path: Path) -> dict[str, float]:
     ages = {}
     for lineno, _, line in ingest._pieces(_read_text(path)):
-        if not line.strip() or (lineno == 1 and line.startswith("subject")):
+        if not line.strip() or (lineno == 1 and line == _COVARIATES_HEADER):
             continue
         try:
             subject, age = line.split("\t")

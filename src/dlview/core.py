@@ -63,10 +63,6 @@ class TreeError(ValueError):
         self.node = node
 
 
-class DuplicateNodeIdError(TreeError):
-    pass
-
-
 @dataclass(frozen=True)
 class RawVesselGraph:
     """Forest of vessel segments for one subject/region, checked when built.
@@ -214,7 +210,7 @@ class BinaryTree:
             seen: set[str] = set()
             for i, node_id in enumerate(ids):
                 if node_id in seen:
-                    raise DuplicateNodeIdError(f"duplicate node_id {node_id!r}", i)
+                    raise TreeError(f"duplicate node_id {node_id!r}", i)
                 seen.add(node_id)
         if thickness[0] is None and len(self.children(0)) != 2:
             raise TreeError("phantom root must have exactly 2 children", 0)

@@ -188,8 +188,11 @@ def scan_tree(tree: BinaryTree, config: DetectorConfig = DetectorConfig()):
     return flags
 
 
+FLAGS_HEADER = "subject\tregion\tkind\tnode\tseverity"  # line 1 of a flags.tsv
+
+
 def flags_to_tsv(flags) -> str:
-    lines = ["subject\tregion\tkind\tnode\tseverity"]
+    lines = [FLAGS_HEADER]
     for f in flags:
         lines.append(
             f"{f.subject_id}\t{f.region_code}\t{f.kind.value}\t{f.node_id}\t{f.severity:.4f}"
@@ -198,10 +201,12 @@ def flags_to_tsv(flags) -> str:
 
 
 def flags_from_tsv(text: str) -> list[FlagRecord]:
-    """Parse a flags.tsv; a bad row raises ValueError naming its line."""
+    """Parse a flags.tsv; a bad row raises ValueError naming its line.
+
+    Line 1 is skipped when it is FLAGS_HEADER, and read as a row otherwise."""
     records = []
     for lineno, _, line in _pieces(text):
-        if not line.strip() or (lineno == 1 and line.startswith("subject\t")):
+        if not line.strip() or (lineno == 1 and line == FLAGS_HEADER):
             continue
         try:
             subject, region, kind, node, severity = line.split("\t")

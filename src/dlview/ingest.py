@@ -49,7 +49,6 @@ from typing import Optional, Union
 
 from .core import (
     BinaryTree,
-    DuplicateNodeIdError,
     RawVesselGraph,
     Region,
     TreeError,
@@ -66,38 +65,6 @@ class ParseError(ValueError):
         if line:  # .vess errors know only the line
             loc = f" (line {line})" if col is None else f" (line {line}, col {col})"
         super().__init__(message + loc)
-
-
-class SyntaxParseError(ParseError):
-    pass
-
-
-class DanglingReferenceError(ParseError):
-    pass
-
-
-class CycleError(ParseError):
-    pass
-
-
-class SegmentTooShortError(ParseError):
-    pass
-
-
-class BadRadiusError(ParseError):
-    pass
-
-
-class DuplicateIdError(ParseError):
-    pass
-
-
-class TooManyChildrenError(ParseError):
-    pass
-
-
-class NegativeThicknessError(ParseError):
-    pass
 
 
 _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9.+~-]*")
@@ -144,7 +111,7 @@ def _lines(text: Union[str, bytes]):
 
 def _float(tok: str, lineno: int, what: str) -> float:
     if not _NUM_RE.fullmatch(tok):
-        raise SyntaxParseError(f"bad {what} {tok!r}", lineno)
+        raise ParseError(f"bad {what} {tok!r}", lineno)
     return float(tok)
 
 
@@ -288,87 +255,84 @@ def _walk_vess(text: Union[str, bytes]) -> RawVesselGraph:
         kind = toks[0]
         if kind == "HEADER":
             if subject_id is not None:
-                raise SyntaxParseError("more than one HEADER record", lineno)
+                raise ParseError("more than one HEADER record", lineno)
             if len(toks) != 3:
-                raise SyntaxParseError("HEADER needs <subject_id> <region>", lineno)
+                raise ParseError("HEADER needs <subject_id> <region>", lineno)
             subject_id = toks[1]
             if not _SUBJECT_RE.fullmatch(subject_id):
-                raise SyntaxParseError(_bad_subject(subject_id), lineno)
+                raise ParseError(_bad_subject(subject_id), lineno)
             try:
                 region = Region.from_code(toks[2])
             except ValueError as e:
-                raise SyntaxParseError(str(e), lineno)
+                raise ParseError(str(e), lineno)
         elif kind == "POINT":
             if len(toks) != 6:
-                raise SyntaxParseError("POINT needs <pid> <x> <y> <z> <radius>", lineno)
+                raise ParseError("POINT needs <pid> <x> <y> <z> <radius>", lineno)
             pid = toks[1]
             if pid in index:
-                raise DuplicateIdError(f"duplicate point id {pid!r}", lineno)
+                raise ParseError(f"duplicate point id {pid!r}", lineno)
             point = [_float(t, lineno, "coordinate") for t in toks[2:5]]
             point.append(_float(toks[5], lineno, "radius"))
             if point[3] <= 0:
-                raise BadRadiusError(f"point {pid!r} has radius {point[3]} <= 0", lineno)
+                raise ParseError(f"point {pid!r} has radius {point[3]} <= 0", lineno)
             if not all(map(math.isfinite, point)):  # a number past float range reads as inf
-                raise SyntaxParseError(f"non-finite coordinate/radius in point {pid!r}", lineno)
+                raise ParseError(f"non-finite coordinate/radius in point {pid!r}", lineno)
             index[pid] = len(x)
             for column, v in zip((x, y, z, radius), point):
                 column.append(v)
         elif kind == "SEGMENT":
             if len(toks) < 2:
-                raise SyntaxParseError("SEGMENT needs <sid> <pid>...", lineno)
+                raise ParseError("SEGMENT needs <sid> <pid>...", lineno)
             sid = toks[1]
             if not _ID_RE.fullmatch(sid):
-                raise SyntaxParseError(f"bad segment id {sid!r}", lineno)
+                raise ParseError(f"bad segment id {sid!r}", lineno)
             if sid in segments:
-                raise DuplicateIdError(f"duplicate segment id {sid!r}", lineno)
+                raise ParseError(f"duplicate segment id {sid!r}", lineno)
             if len(toks) < 4:
-                raise SegmentTooShortError(
-                    f"segment {sid!r} has {len(toks) - 2} point(s), needs >= 2", lineno
-                )
+                raise ParseError(f"segment {sid!r} has {len(toks) - 2} point(s), needs >= 2",
+                                 lineno)
             for pid in toks[2:]:
                 if pid not in index:
-                    raise DanglingReferenceError(f"unknown point id {pid!r}", lineno)
+                    raise ParseError(f"unknown point id {pid!r}", lineno)
             segments[sid] = tuple(map(index.__getitem__, toks[2:]))
         elif kind == "CONNECT":
             if len(toks) != 3:
-                raise SyntaxParseError("CONNECT needs <parent_sid> <child_sid>", lineno)
+                raise ParseError("CONNECT needs <parent_sid> <child_sid>", lineno)
             p, c = toks[1], toks[2]
             for sid in (p, c):
                 if sid not in segments:
-                    raise DanglingReferenceError(f"unknown segment id {sid!r}", lineno)
+                    raise ParseError(f"unknown segment id {sid!r}", lineno)
             if c in up:
-                raise DanglingReferenceError(
-                    f"segment {c!r} already has a parent", lineno
-                )
+                raise ParseError(f"segment {c!r} already has a parent", lineno)
             if c in roots:
-                raise DanglingReferenceError(f"root {c!r} has a parent", lineno)
+                raise ParseError(f"root {c!r} has a parent", lineno)
             # c has no parent yet, so it is the root of its own tree
             root = _find_root(up, p)
             if root == c:
-                raise CycleError(f"CONNECT {p} {c} closes a cycle", lineno)
+                raise ParseError(f"CONNECT {p} {c} closes a cycle", lineno)
             up[c] = root
             edges.add((p, c))
         elif kind == "ROOT":
             if len(toks) != 2:
-                raise SyntaxParseError("ROOT needs <sid>", lineno)
+                raise ParseError("ROOT needs <sid>", lineno)
             sid = toks[1]
             if sid not in segments:
-                raise DanglingReferenceError(f"unknown segment id {sid!r}", lineno)
+                raise ParseError(f"unknown segment id {sid!r}", lineno)
             if sid in roots:
-                raise DuplicateIdError(f"duplicate ROOT {sid!r}", lineno)
+                raise ParseError(f"duplicate ROOT {sid!r}", lineno)
             if sid in up:
-                raise DanglingReferenceError(f"root {sid!r} has a parent", lineno)
+                raise ParseError(f"root {sid!r} has a parent", lineno)
             roots[sid] = None
         else:
-            raise SyntaxParseError(f"unknown record {kind!r}", lineno)
+            raise ParseError(f"unknown record {kind!r}", lineno)
 
     if subject_id is None or region is None:
-        raise SyntaxParseError("missing HEADER record")
+        raise ParseError("missing HEADER record")
     try:
         return RawVesselGraph(subject_id, region, x, y, z, radius, segments,
                               frozenset(edges), tuple(roots))
     except ValueError as e:  # no roots, or a segment no root reaches
-        raise DanglingReferenceError(str(e))
+        raise ParseError(str(e))
 
 
 def _find_root(up: dict[str, str], sid: str) -> str:
@@ -426,7 +390,7 @@ def _num(v: float) -> str:
 def parse_dltree(text: Union[str, bytes]) -> BinaryTree:
     lines = list(_lines(text))
     if not lines:
-        raise SyntaxParseError("empty .dltree file")
+        raise ParseError("empty .dltree file")
     hline, hoff, hraw, header = lines[0]
     toks = header.split()
     try:
@@ -436,7 +400,7 @@ def parse_dltree(text: Union[str, bytes]) -> BinaryTree:
             raise ValueError(_bad_subject(toks[1]))
         region = Region.from_code(toks[2])
     except ValueError as e:
-        raise SyntaxParseError(str(e), hline, hoff + hraw.index(header) + 1)
+        raise ParseError(str(e), hline, hoff + hraw.index(header) + 1)
     body = "".join(line for _, _, _, line in lines[1:])
 
     def at(pos: int) -> tuple[int, int]:
@@ -452,8 +416,7 @@ def parse_dltree(text: Union[str, bytes]) -> BinaryTree:
     try:
         tree = BinaryTree(toks[1], region, ids=ids, thickness=thickness, size=size)
     except TreeError as e:  # located at the '(' that opens the node it names
-        cls = DuplicateIdError if isinstance(e, DuplicateNodeIdError) else SyntaxParseError
-        raise cls(str(e), *at([p for p, c in enumerate(body) if c == "("][e.node]))
+        raise ParseError(str(e), *at([p for p, c in enumerate(body) if c == "("][e.node]))
     return _with_parent(tree, parent)
 
 
@@ -545,17 +508,16 @@ def _walk_body(body: str, at):
             for _, piece, message in _PIECES:
                 pos = _WS.match(body, pos).end()
                 if (found := piece.match(body, pos)) is None:
-                    raise SyntaxParseError(message, *at(pos))
+                    raise ParseError(message, *at(pos))
                 pos = found.end()
         node_id, t, closes, comma = m.group("id", "thickness", "closes", "comma")
         t = None if t == "_" else float(t)
         if t is not None and not 0.0 <= t < math.inf:
             if t < 0:
-                raise NegativeThicknessError(
-                    f"node {node_id!r} has negative thickness", *at(m.start("thickness")))
-            raise SyntaxParseError(
-                f"node {node_id!r} has a thickness out of float range",
-                *at(m.start("thickness")))
+                raise ParseError(f"node {node_id!r} has negative thickness",
+                                 *at(m.start("thickness")))
+            raise ParseError(f"node {node_id!r} has a thickness out of float range",
+                             *at(m.start("thickness")))
         if stack:
             size[stack[-1]] -= 1
         parent.append(stack[-1] if stack else -1)
@@ -568,15 +530,15 @@ def _walk_body(body: str, at):
         for k in range(n if comma else n + 1):
             i = stack.pop()
             if size[i] < -2:
-                raise TooManyChildrenError(
-                    f"node {ids[i]!r} has {-size[i]} children", *at(_close_at(m, k)))
+                raise ParseError(f"node {ids[i]!r} has {-size[i]} children",
+                                 *at(_close_at(m, k)))
             if k == n:
-                raise SyntaxParseError("expected ')'", *at(m.end()))
+                raise ParseError("expected ')'", *at(m.end()))
             size[i] = len(ids) - i
             if not stack:
                 end = _close_at(m, k) + 1
                 if end < len(body):
-                    raise SyntaxParseError("trailing input after tree expression", *at(end))
+                    raise ParseError("trailing input after tree expression", *at(end))
                 return ids, thickness, size, parent
         pos = m.end()
 

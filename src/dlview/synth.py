@@ -123,17 +123,17 @@ class TreeTooSmallError(ValueError):
     pass
 
 
-def inject_anomaly(tree: BinaryTree, kind: FlagKind, seed: int,
-                   graft_size: int | None = None) -> tuple[BinaryTree, str]:
+def inject_anomaly(tree: BinaryTree, kind: FlagKind, seed: int) -> tuple[BinaryTree, str]:
     """Inject one anomaly; returns the edited tree and the ground-truth node id.
 
-    graft_size controls how many nodes a misconnection graft carries
-    (default: just above DETECTOR's minimum subtree size).
+    A misconnection graft carries DETECTOR's minimum subtree size in nodes,
+    and at least 5.
     """
     rng = random.Random(seed)
     if kind is FlagKind.VEIN:
         return _inject_vein(tree, rng)
     if kind is FlagKind.MISCONNECTION:
+        graft_size = max(DETECTOR.misconnection_min_subtree, 5)
         return _inject_misconnection(tree, rng, graft_size, _graft_sites(tree))
     if kind is FlagKind.STARTING_POINT:
         return _inject_starting_point(tree)
@@ -169,16 +169,15 @@ def _graft_sites(tree: BinaryTree) -> list[tuple[int, int, int]]:
                   if size[leaf] == 1 and size[parent[leaf]] > 2)
 
 
-def _inject_misconnection(tree: BinaryTree, rng, graft_size: int | None, sites):
-    """Replace a leaf with a generated over-thick subtree.
+def _inject_misconnection(tree: BinaryTree, rng, graft_size: int, sites):
+    """Replace a leaf with a generated over-thick subtree of graft_size nodes.
 
     The host leaf, one of `_graft_sites(tree)`, must have a large-enough
     sibling subtree so that the graft cannot shift any ancestor's subtree
     median.
     """
-    graft_size_target = graft_size or max(DETECTOR.misconnection_min_subtree, 5)
     candidates = [(parent, leaf) for parent, leaf, sib_size in sites
-                  if sib_size >= graft_size_target + 2]
+                  if sib_size >= graft_size + 2]
     if not candidates:
         raise TreeTooSmallError("no leaf with a large enough sibling subtree")
     parent, host = candidates[rng.randrange(len(candidates))]
@@ -190,7 +189,7 @@ def _inject_misconnection(tree: BinaryTree, rng, graft_size: int | None, sites):
     # subtree median above parent + epsilon for any realistic parent thickness.
     ids, thickness = [], []
     t = tree.thickness[parent] + MARGIN_MM
-    for i in range(graft_size_target):
+    for i in range(graft_size):
         nid = f"{prefix}.{i}"
         while nid in used:
             nid += "x"
@@ -218,12 +217,8 @@ def _inject_starting_point(tree: BinaryTree):
     return tree, tree.ids[0]
 
 
-def max_graft_size(tree: BinaryTree) -> int:
-    """Largest misconnection graft this tree can host (0 if none)."""
-    return _largest_graft(_graft_sites(tree))
-
-
 def _largest_graft(sites) -> int:
+    """Largest misconnection graft the sites can host (0 if none)."""
     return max([0] + [sib_size - 2 for _, _, sib_size in sites])
 
 

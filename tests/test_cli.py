@@ -3,6 +3,7 @@ import hashlib
 import io
 import os
 import random
+import re
 import shutil
 import stat
 import subprocess
@@ -402,6 +403,8 @@ def test_duplicate_tree_key_is_a_data_error(tmp_path, capsys):
     ("epsilon_mm = -1", "bad value '-1'"),
     ("epsilon_mm = nan", "bad value 'nan'"),
     ("misconnection_min_subtree = 2.5", "bad value '2.5'"),
+    # a later value must not win quietly
+    ("startpoint_min_chain = 5", "key 'startpoint_min_chain' given twice (first on line 2)"),
 ])
 def test_bad_config_line_names_file_and_line(tmp_path, capsys, line, problem):
     corpus = tmp_path / "corpus"
@@ -469,6 +472,18 @@ def test_bad_covariate_line_names_file_and_line(tmp_path, capsys, small_corpus, 
     assert run("stats", str(small_corpus), "--covariates", str(ages),
                "--out", str(tmp_path / "t.tsv")) == EXIT_DATA_ERROR
     assert f"{ages}:3: {problem}" in capsys.readouterr().err
+
+
+def test_covariates_skip_only_their_own_header(tmp_path):
+    ages = tmp_path / "ages.tsv"
+    ages.write_text("subjectA\t28.06\nsubjectB\t30.0\n")
+    assert _read_covariates(ages) == {"subjectA": 28.06, "subjectB": 30.0}
+    ages.write_text("subject\tage\nsubjectA\t28.06\n")
+    assert _read_covariates(ages) == {"subjectA": 28.06}
+    # a foreign header is a bad row 1
+    ages.write_text("subject\tage_years\nsubjectA\t28.06\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(ages))}:1: bad covariate line"):
+        _read_covariates(ages)
 
 
 def test_huge_age_exits_with_the_covariates_file(tmp_path, capsys, small_corpus):

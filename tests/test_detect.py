@@ -13,6 +13,7 @@ from dlview.core import BinaryNode, BinaryTree, Region
 from dlview.detect import (
     DetectorConfig,
     FlagKind,
+    FlagRecord,
     detect_misconnection,
     detect_starting_point,
     detect_vein,
@@ -304,6 +305,16 @@ def test_flags_tsv_roundtrip():
            [(f.subject_id, f.region_code, f.kind, f.node_id) for f in flags]
     for a, b in zip(back, flags):
         assert a.severity == pytest.approx(b.severity, abs=1e-4)
+
+
+def test_flags_tsv_skips_only_its_own_header():
+    # a subject may be named "subject"; only the exact header line is skipped
+    row = "subject\tB\tVein\tn1\t0.5"
+    assert flags_from_tsv(row + "\n") == [FlagRecord("subject", "B", FlagKind.VEIN, "n1", 0.5)]
+    assert flags_from_tsv(flags_to_tsv([]) + row + "\n") == flags_from_tsv(row + "\n")
+    # a foreign header is a bad row 1
+    with pytest.raises(ValueError, match="^line 1: not enough values to unpack"):
+        flags_from_tsv("subject\tregion\tkind\tnode\n" + row + "\n")
 
 
 def test_config_validation():

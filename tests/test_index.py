@@ -3,6 +3,7 @@ brute-force recursive oracles."""
 
 import math
 import random
+import re
 import statistics
 from xml.sax.saxutils import escape
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dlview.core import BinaryNode, BinaryTree, DuplicateNodeIdError, Region, UnknownNodeError
+from dlview.core import BinaryNode, BinaryTree, Region, TreeError, UnknownNodeError
 from dlview.detect import (
     DetectorConfig,
     FlagKind,
@@ -502,7 +503,8 @@ def test_navigation_by_descent_matches_the_parent_array(tree, data):
         j, k = sorted(data.draw(st.lists(st.integers(0, tree.node_count - 1),
                                          min_size=2, max_size=2, unique=True)))
         ids = tree.ids[:k] + (tree.ids[j],) + tree.ids[k + 1:]
-        with pytest.raises(DuplicateNodeIdError) as exc:
+        message = f"^{re.escape(f'duplicate node_id {tree.ids[j]!r}')}$"
+        with pytest.raises(TreeError, match=message) as exc:
             BinaryTree("s", tree.region, ids=ids, thickness=tree.thickness, size=tree.size)
         assert exc.value.node == k
 

@@ -160,6 +160,22 @@ def test_student_t_sf_against_reference():
                 1.0 - student_t_sf(t, df), abs=1e-12)
 
 
+def test_incomplete_beta_and_t_tail_bits_are_pinned():
+    # reprs from the continued fraction with its two Lentz half-steps written out
+    ts = [(-3.5, 2), (-0.4, 7), (0.0, 1), (0.25, 3), (1.7, 12), (2.9, 40), (6.0, 5),
+          (12.5, 198)]
+    assert [repr(student_t_sf(t, df)) for t, df in ts] == [
+        "0.9635863249727654", "0.6494591664147975", "0.5", "0.4093646112144148",
+        "0.057439932697604335", "0.0030175635939847963", "0.0009230691447970054",
+        "4.123271740115484e-27"]
+    spots = [(0.5, 0.5, 0.3), (1.0, 2.0, 0.5), (2.5, 0.5, 0.9), (6.0, 0.5, 0.2),
+             (20.0, 30.0, 0.45), (99.0, 0.5, 0.999), (0.1, 8.0, 0.01), (3.0, 3.0, 0.75)]
+    assert [repr(regularized_incomplete_beta(a, b, x)) for a, b, x in spots] == [
+        "0.36901011956554497", "0.75", "0.48958974456442816", "1.58660202402991e-05",
+        "0.767111393213425", "0.6566654849583229", "0.8067817141617234",
+        "0.8964843749999998"]
+
+
 # ---------------------------------------------------------------------------
 # slope p-values
 

@@ -16,7 +16,6 @@ from dlview.synth import (
     generate_tree,
     inject_anomaly,
     inject_corpus,
-    max_graft_size,
 )
 
 
@@ -184,10 +183,11 @@ def test_max_graft_size_bounds_feasibility():
     rng = random.Random(3)
     for seed in range(40):
         t = generate_tree(GenParams(), seed=seed)
-        cap = max_graft_size(t)
+        sites = synth._graft_sites(t)
+        cap = synth._largest_graft(sites)
         if cap >= 5:
-            _, locus = inject_anomaly(t, FlagKind.MISCONNECTION,
-                                      seed=rng.randrange(2**30), graft_size=cap)
+            _, locus = synth._inject_misconnection(t, random.Random(rng.randrange(2**30)), cap,
+                                                   sites)
             assert locus
 
 
