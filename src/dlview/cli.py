@@ -101,10 +101,8 @@ def _tree_filename(tree: BinaryTree) -> str:
     return name
 
 
-def _read_config(path: Path | None) -> dict[str, int | float]:
+def _read_config(path: Path) -> dict[str, int | float]:
     """Detector settings from `key = value` lines, keyed by DetectorConfig field."""
-    if path is None:
-        return {}
     types = {f.name: f.type for f in fields(DetectorConfig)}
     values = {}
     first = {}  # key -> the line that gave it
@@ -125,15 +123,6 @@ def _read_config(path: Path | None) -> dict[str, int | float]:
         except ValueError as e:
             raise DataError(f"{path}:{lineno}: bad value {value!r} for {key}: {e}")
     return values
-
-
-def _detector_config(cfg: dict[str, int | float], args) -> DetectorConfig:
-    kwargs = dict(cfg)
-    for f in fields(DetectorConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            kwargs[f.name] = flag
-    return DetectorConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +170,10 @@ def cmd_render(args) -> int:
 
 def cmd_scan(args) -> int:
     corpus = _load_corpus(Path(args.directory))
-    config = _detector_config(_read_config(Path(args.config) if args.config else None), args)
+    settings = _read_config(Path(args.config)) if args.config else {}
+    if args.epsilon_mm is not None:  # the flag wins over the file
+        settings["epsilon_mm"] = args.epsilon_mm
+    config = DetectorConfig(**settings)
     # trees in (subject, region) order, each tree's flags in (kind, node) order
     flags = [f for _, tree in sorted(corpus.items()) for f in detect.scan_tree(tree, config)]
     _write_atomic(Path(args.report), detect.flags_to_tsv(flags).encode("utf-8"))
@@ -262,14 +254,14 @@ def _read_covariates(path: Path) -> dict[str, float]:
             continue
         try:
             subject, age = line.split("\t")
-            value = float(age)
-            if not math.isfinite(value) or abs(value) > _MAX_COVARIATE:
-                raise ValueError("age is not a finite number in range")
+            # the .dltree number grammar; a number past float range reads as inf
+            if not ingest._NUM_RE.fullmatch(age) or abs(float(age)) > _MAX_COVARIATE:
+                raise ValueError("age is not a number in range")
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad covariate line {line!r}")
         if subject in ages:
             raise DataError(f"{path}:{lineno}: subject {subject!r} listed twice")
-        ages[subject] = value
+        ages[subject] = float(age)
     return ages
 
 
@@ -302,11 +294,15 @@ def cmd_stats(args) -> int:
             records = detect.flags_from_tsv(_read_text(Path(args.flags)))
         except ValueError as e:
             raise DataError(f"{args.flags}: {e}")
-        trees = {(e.tree.subject_id, e.tree.region.value) for e in entries + compared}
+        trees = {}  # (subject, region) -> the node ids of its tree in each corpus
+        for e in entries + compared:
+            trees.setdefault((e.tree.subject_id, e.tree.region), []).append(e.tree.ids)
+        where = f"{args.directory} or {args.compare}" if args.compare else args.directory
         for r in records:
-            if (r.subject_id, r.region_code) not in trees:
-                where = f"{args.directory} or {args.compare}" if args.compare else args.directory
-                raise DataError(f"{args.flags}: no tree {r.subject_id}/{r.region_code} in {where}")
+            ids = trees.get((r.subject_id, r.region), ())
+            if not any(r.node_id in tree_ids for tree_ids in ids):
+                what = f"node {r.node_id!r} in tree" if ids else "tree"
+                raise DataError(f"{args.flags}: no {what} {r.subject_id}/{r.region.value} in {where}")
         # every tree of the corpus is a point of its region's regression
         summary = stats.summarize_flags(records, sum(r.n for r in primary.values()))
     # written only once every input has been read and checked

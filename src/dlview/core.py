@@ -72,9 +72,9 @@ class RawVesselGraph:
     its rows in flow order.  Equality is by columns, so the same values in
     another row order differ: `serialize_vess` writes a graph's value.
 
-    Construction raises ValueError unless `validate` passes, and lists each
-    parent's children once, sorted by `_id_sort_key`; most parents have one
-    child and need no sort.
+    Construction raises ValueError unless `validate` passes, and sorts the
+    roots and each parent's children by `_id_sort_key` once, so graphs that
+    differ only in root order are equal, as their `serialize_vess` bytes are.
     """
 
     subject_id: str
@@ -90,6 +90,8 @@ class RawVesselGraph:
     def __post_init__(self):
         for name in ("x", "y", "z", "radius"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        if len(self.roots) > 1:
+            object.__setattr__(self, "roots", tuple(sorted(self.roots, key=_id_sort_key)))
         children: dict[str, list[str]] = {}
         for p, c in self.edges:
             children.setdefault(p, []).append(c)
@@ -282,7 +284,7 @@ class BinaryTree:
             return self.ids.index(node_id)
         except ValueError:
             raise UnknownNodeError(
-                f"node {node_id!r} not in tree {self.subject_id}/{self.region.value}"
+                f"node {node_id!r} not in {self.subject_id}/{self.region.value}"
             )
 
     def subtree(self, i: int) -> "BinaryTree":
@@ -327,8 +329,8 @@ def _with_parent(tree: BinaryTree, parent: list[int]) -> BinaryTree:
 @dataclass(frozen=True)
 class CorpusEntry:
     tree: BinaryTree
-    covariate: Optional[float] = None
+    covariate: float
 
     def __post_init__(self):
-        if self.covariate is not None and not math.isfinite(self.covariate):
+        if not math.isfinite(self.covariate):
             raise ValueError("covariate must be finite")

@@ -19,7 +19,7 @@ from bisect import insort
 from dataclasses import dataclass
 
 from .core import BinaryTree, Region
-from .ingest import _pieces
+from .ingest import _NUM_RE, _pieces
 
 
 class FlagKind(enum.Enum):
@@ -48,7 +48,7 @@ class DetectorConfig:
 @dataclass(frozen=True)
 class FlagRecord:
     subject_id: str
-    region_code: str
+    region: Region
     kind: FlagKind
     node_id: str
     severity: float  # mm of excess
@@ -125,7 +125,7 @@ def detect_misconnection(tree: BinaryTree, config: DetectorConfig = DetectorConf
     for i in reversed(median):  # filled in reverse preorder
         if i >= end and median[i] - thickness[parent[i]] - epsilon > 0:
             flags.append(FlagRecord(
-                tree.subject_id, tree.region.value,
+                tree.subject_id, tree.region,
                 FlagKind.MISCONNECTION, ids[i], median[i] - thickness[parent[i]],
             ))
             end = i + size[i]  # maximal node only; descendants not re-reported
@@ -154,7 +154,7 @@ def detect_starting_point(tree: BinaryTree, config: DetectorConfig = DetectorCon
     except OverflowError:  # the excesses sum past the float maximum
         severity = math.inf
     return [FlagRecord(
-        tree.subject_id, tree.region.value, FlagKind.STARTING_POINT,
+        tree.subject_id, tree.region, FlagKind.STARTING_POINT,
         tree.ids[0], severity,
     )]
 
@@ -171,7 +171,7 @@ def detect_vein(tree: BinaryTree, config: DetectorConfig = DetectorConfig()):
             t = thickness[parent[c]]
             if t is not None and thickness[c] > t + config.epsilon_mm:
                 flags.append(FlagRecord(
-                    tree.subject_id, tree.region.value, FlagKind.VEIN,
+                    tree.subject_id, tree.region, FlagKind.VEIN,
                     ids[c], thickness[c] - t,
                 ))
     return flags
@@ -195,7 +195,7 @@ def flags_to_tsv(flags) -> str:
     lines = [FLAGS_HEADER]
     for f in flags:
         lines.append(
-            f"{f.subject_id}\t{f.region_code}\t{f.kind.value}\t{f.node_id}\t{f.severity:.4f}"
+            f"{f.subject_id}\t{f.region.value}\t{f.kind.value}\t{f.node_id}\t{f.severity:.4f}"
         )
     return "\n".join(lines) + "\n"
 
@@ -203,15 +203,19 @@ def flags_to_tsv(flags) -> str:
 def flags_from_tsv(text: str) -> list[FlagRecord]:
     """Parse a flags.tsv; a bad row raises ValueError naming its line.
 
-    Line 1 is skipped when it is FLAGS_HEADER, and read as a row otherwise."""
+    Line 1 is skipped when it is FLAGS_HEADER, and read as a row otherwise.
+    A severity is a number >= 0 in the .dltree grammar, or the inf that
+    flags_to_tsv writes for one that overflowed."""
     records = []
     for lineno, _, line in _pieces(text):
         if not line.strip() or (lineno == 1 and line == FLAGS_HEADER):
             continue
         try:
             subject, region, kind, node, severity = line.split("\t")
-            Region.from_code(region)
-            records.append(FlagRecord(subject, region, FlagKind(kind), node, float(severity)))
+            region, kind = Region.from_code(region), FlagKind(kind)
+            if not (_NUM_RE.fullmatch(severity) or severity == "inf") or float(severity) < 0:
+                raise ValueError(f"bad severity {severity!r} (expected a number >= 0, or inf)")
+            records.append(FlagRecord(subject, region, kind, node, float(severity)))
         except ValueError as e:
             raise ValueError(f"line {lineno}: {e}")
     return records

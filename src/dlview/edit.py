@@ -105,19 +105,19 @@ def parse_script(text: str) -> list[ScriptLine]:
     lines = []
     for lineno, _, _, line in _lines(text):
         toks = line.split()
-        if len(toks) == 3 and toks[1] == "*" and toks[2] == "EXCLUDE":
-            lines.append(ScriptLine(toks[0], None, ExcludeCase(), lineno))
-            continue
-        if len(toks) != 4:
-            raise EditScriptError(f"line {lineno}: malformed script line {line!r}")
-        subject, region_code, verb, node_id = toks
         try:
-            region = Region.from_code(region_code)
+            if len(toks) == 3 and toks[1] == "*" and toks[2] == "EXCLUDE":
+                region, op = None, ExcludeCase()
+            elif len(toks) != 4:
+                raise ValueError(f"malformed script line {line!r}")
+            else:
+                region = Region.from_code(toks[1])
+                if toks[2] not in _OP_OF_VERB:
+                    raise ValueError(f"unknown operation {toks[2]!r}")
+                op = _OP_OF_VERB[toks[2]](toks[3])
         except ValueError as e:
             raise EditScriptError(f"line {lineno}: {e}")
-        if verb not in _OP_OF_VERB:
-            raise EditScriptError(f"line {lineno}: unknown operation {verb!r}")
-        lines.append(ScriptLine(subject, region, _OP_OF_VERB[verb](node_id), lineno))
+        lines.append(ScriptLine(toks[0], region, op, lineno))
     return lines
 
 
@@ -140,26 +140,19 @@ def apply_script(corpus: dict[tuple[str, str], BinaryTree],
     """
     out = dict(corpus)
     for line in script:
-        if isinstance(line.op, ExcludeCase):
-            keys = [k for k in out if k[0] == line.subject_id]
-            if not keys:
-                raise EditScriptError(
-                    f"line {line.lineno}: no trees for subject {line.subject_id!r}"
-                )
-            for k in keys:
-                del out[k]
-            continue
-        key = (line.subject_id, line.region.value)
-        if key not in out:
-            raise EditScriptError(
-                f"line {line.lineno}: no tree for {line.subject_id}/{line.region.value}"
-            )
-        tree = out[key]
         try:
-            out[key] = _NODE_OPS[type(line.op)][1](tree, line.op.node_id)
-        except UnknownNodeError:
-            raise EditScriptError(
-                f"line {line.lineno}: node {line.op.node_id!r} not in "
-                f"{line.subject_id}/{line.region.value}"
-            )
+            if isinstance(line.op, ExcludeCase):
+                keys = [k for k in out if k[0] == line.subject_id]
+                if not keys:
+                    raise EditScriptError(f"no trees for subject {line.subject_id!r}")
+                for k in keys:
+                    del out[k]
+                continue
+            key = (line.subject_id, line.region.value)
+            if key not in out:
+                raise EditScriptError(f"no tree for {line.subject_id}/{line.region.value}")
+            out[key] = _NODE_OPS[type(line.op)][1](out[key], line.op.node_id)
+        except (EditScriptError, UnknownNodeError) as e:
+            # a KeyError's str() is its message's repr
+            raise EditScriptError(f"line {line.lineno}: {e.args[0]}")
     return out

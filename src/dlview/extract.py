@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 
-from .core import BinaryTree, RawVesselGraph, _id_sort_key, subtree_sizes
+from .core import BinaryTree, RawVesselGraph, subtree_sizes
 
 
 def extract_binary_tree(graph: RawVesselGraph) -> BinaryTree:
-    roots = sorted(graph.roots, key=_id_sort_key)
+    roots = graph.roots
     if len(roots) > 2:
         raise ValueError(
             f"{len(roots)} roots in {graph.subject_id}/{graph.region.value}; "

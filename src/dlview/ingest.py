@@ -370,7 +370,7 @@ def serialize_vess(graph: RawVesselGraph) -> bytes:
     lines = [f"HEADER {graph.subject_id} {graph.region.value}"] + point_lines + seg_lines
     for p, c in sorted(graph.edges, key=lambda e: (_id_sort_key(e[0]), _id_sort_key(e[1]))):
         lines.append(f"CONNECT {p} {c}")
-    for r in sorted(graph.roots, key=_id_sort_key):
+    for r in graph.roots:
         lines.append(f"ROOT {r}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -453,11 +453,9 @@ def _parse_body(body: str, at):
     """Preorder ids, thicknesses, sizes and parents of the tree in body; at()
     locates errors.
 
-    The body is split by _TIGHT_NODE.  A body with spaces or tabs, or whose
-    pieces are not one well-formed tree, goes to _walk_body.
+    The body is split by _TIGHT_NODE, which matches no space or tab.  A body
+    whose pieces are not one well-formed tree goes to _walk_body.
     """
-    if " " in body or "\t" in body:
-        return _walk_body(body, at)
     parts = _TIGHT_NODE.split(body)
     ids, thick, closes = parts[1::5], parts[2::5], parts[3::5]
     # no gap before a node nor after the tree, a ',' after every node but the

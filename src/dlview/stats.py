@@ -38,9 +38,8 @@ def summarize_flags(records: list[FlagRecord], corpus_size: int) -> FlagSummary:
     }
     flagged_trees = set()
     for rec in records:
-        region = Region.from_code(rec.region_code)
-        per_cell[(rec.kind, region)].add((rec.subject_id, rec.region_code))
-        flagged_trees.add((rec.subject_id, rec.region_code))
+        per_cell[(rec.kind, rec.region)].add((rec.subject_id, rec.region))
+        flagged_trees.add((rec.subject_id, rec.region))
     counts = {k: {r: len(per_cell[(k, r)]) for r in _REGIONS} for k in _KINDS}
     return FlagSummary(counts, len(flagged_trees), corpus_size)
 
@@ -160,9 +159,6 @@ def region_age_analysis(corpus: list[CorpusEntry]) -> dict[Region, RegressionRes
     Note this is a labeled branchiness proxy, not a tree-line principal
     component analysis.
     """
-    missing = sorted({e.tree.subject_id for e in corpus if e.covariate is None})
-    if missing:
-        raise ValueError(f"missing covariates for subjects: {missing}")
     results = {}
     for region in _REGIONS:
         pairs = [

@@ -429,9 +429,16 @@ def small_corpus(tmp_path):
 @pytest.mark.parametrize("row, problem", [
     ("s000\tB\tVein", "line 3: not enough values to unpack (expected 5, got 3)"),
     ("s000\tB\tVien\tn3\t0.5000", "line 3: 'Vien' is not a valid FlagKind"),
-    ("s000\tB\tVein\tn3\tlots", "line 3: could not convert string to float: 'lots'"),
+    ("s000\tB\tVein\tn3\tlots", "line 3: bad severity 'lots' (expected a number >= 0, or inf)"),
     ("s000\tQ\tVein\tn3\t0.5000", "line 3: unknown region code 'Q'"),
     ("s900\tB\tVein\tn3\t0.5000", "no tree s900/B in "),
+    # scan writes no negative or NaN severity, and float() reads more than
+    # the number grammar
+    ("s000\tB\tVein\tn3\t-7", "line 3: bad severity '-7'"),
+    ("s000\tB\tVein\tn3\tnan", "line 3: bad severity 'nan'"),
+    ("s000\tB\tVein\tn3\t2_8", "line 3: bad severity '2_8'"),
+    ("s000\tB\tVein\tn3\t 0.5 ", "line 3: bad severity ' 0.5 '"),
+    ("s000\tB\tVein\tno_such_node\t0.5000", "no node 'no_such_node' in tree s000/B in "),
 ])
 def test_bad_flags_row_names_file_and_line(tmp_path, capsys, small_corpus, row, problem):
     flags = tmp_path / "flags.tsv"
@@ -465,6 +472,11 @@ def test_stats_takes_flags_and_summary_out_together(tmp_path, capsys, monkeypatc
     ("s001\tnan", "bad covariate line 's001\\tnan'"),
     ("s000\t41.0", "subject 's000' listed twice"),
     ("s001\t1e200", "bad covariate line 's001\\t1e200'"),
+    # float() reads these, the number grammar does not
+    ("s001\t2_8", "bad covariate line 's001\\t2_8'"),
+    ("s001\t 4_0.5 ", "bad covariate line 's001\\t 4_0.5 '"),
+    ("s001\t+40", "bad covariate line 's001\\t+40'"),
+    ("s001\t4e1", "bad covariate line 's001\\t4e1'"),
 ])
 def test_bad_covariate_line_names_file_and_line(tmp_path, capsys, small_corpus, row, problem):
     ages = tmp_path / "ages.tsv"
@@ -484,6 +496,13 @@ def test_covariates_skip_only_their_own_header(tmp_path):
     ages.write_text("subject\tage_years\nsubjectA\t28.06\n")
     with pytest.raises(DataError, match=f"^{re.escape(str(ages))}:1: bad covariate line"):
         _read_covariates(ages)
+
+
+def test_covariates_read_the_file_number_grammar(tmp_path):
+    # \d takes any Unicode decimal digit, in ages as in .vess and .dltree numbers
+    ages = tmp_path / "ages.tsv"
+    ages.write_text("s000\t-3.25\ns001\t\uff16\uff10\n")
+    assert _read_covariates(ages) == {"s000": -3.25, "s001": 60.0}
 
 
 def test_huge_age_exits_with_the_covariates_file(tmp_path, capsys, small_corpus):
@@ -516,6 +535,26 @@ def test_stats_error_names_the_corpus_and_region(tmp_path, capsys, small_corpus)
         assert run(*argv, *(["--compare", str(compare)] if compare else [])) == EXIT_DATA_ERROR
         assert capsys.readouterr().err == problem + "\n"
         assert not out.exists() and not summary.exists()
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("s000 B DELETE_LEAF n2", "line 2: node 'n2' is not a leaf"),
+    ("s000 B DELETE_SUBTREE n1",
+     "line 2: cannot delete the root subtree (exclude the case instead)"),
+    ("s000 B TRIM_ROOT zz", "line 2: node 'zz' not in s000/B"),
+    ("s900 B DELETE_LEAF n3", "line 2: no tree for s900/B"),
+    ("s900 * EXCLUDE", "line 2: no trees for subject 's900'"),
+    ("s000 B DELETE_LEAF", "line 2: malformed script line 's000 B DELETE_LEAF'"),
+    ("s000 B FROB n3", "line 2: unknown operation 'FROB'"),
+])
+def test_every_failed_script_line_is_named_by_its_number(tmp_path, capsys, small_corpus,
+                                                         line, problem):
+    script = tmp_path / "fix.edits"
+    script.write_text(f"s001 * EXCLUDE\n{line}\n")  # n1 is s000/B's root, n2 its left child
+    assert run("apply-edits", str(small_corpus), "--script", str(script),
+               "--out-dir", str(tmp_path / "fixed")) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == f"error: {script}: {problem}\n"
+    assert not (tmp_path / "fixed").exists()
 
 
 def test_bad_script_region_names_script_and_line(tmp_path, capsys, small_corpus):
@@ -667,7 +706,7 @@ def test_names_at_the_grammar_edges_pass_every_command(subject, node_ids, seed, 
         (l.subject_id, l.region, l.op) for l in script]
     for line in back:
         apply_script({key: tree}, [line])
-    flags = [FlagRecord(subject, region.value, kind, node_id, 0.5)
+    flags = [FlagRecord(subject, region, kind, node_id, 0.5)
              for kind, node_id in zip(list(FlagKind) * len(tree.ids), tree.ids)]
     assert flags_from_tsv(flags_to_tsv(flags)) == flags
     with tempfile.TemporaryDirectory() as tmp:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dlview.core import (
     BinaryNode,
     BinaryTree,
+    CorpusEntry,
     RawVesselGraph,
     Region,
     TreeError,
@@ -74,6 +75,12 @@ def test_unknown_node_raises():
     t = complete7()
     with pytest.raises(UnknownNodeError):
         t.position("nope")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_corpus_entry_needs_a_finite_covariate(bad):
+    with pytest.raises(ValueError, match="^covariate must be finite$"):
+        CorpusEntry(complete7(), bad)
 
 
 _GOOD_POINTS = {"x": (0.0, 1.0), "y": (0.0, 0.0), "z": (0.0, 0.0), "radius": (1.0, 0.5)}
@@ -204,6 +211,14 @@ def test_children_are_sorted_by_id(kids):
     g = _graph(["p", *kids], (("p", k) for k in kids), ("p",))
     assert g.children_of("p") == tuple(sorted(kids, key=ID_ORDER.index))
     assert all(g.children_of(k) == () for k in kids)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(("10", "9", "a", "007")))
+def test_roots_are_sorted_by_id_so_their_order_is_not_the_value(roots):
+    g = _graph(roots, (), roots)
+    assert g.roots == ("007", "9", "10", "a")
+    assert g == _graph(roots, (), sorted(roots))
 
 
 def test_tied_numeric_ids_sort_by_the_id_string():

@@ -185,6 +185,7 @@ def test_thicknesses_near_the_float_maximum_scan_without_overflow():
     flags = detect_starting_point(tree(BinaryNode("a", top, BinaryNode(
         "b", top, BinaryNode("c", top, BinaryNode("d", top))))))
     assert [(f.node_id, f.severity) for f in flags] == [("a", math.inf)]
+    assert flags_from_tsv(flags_to_tsv(flags)) == flags  # written and read as "inf"
     # c's subtree median is big, its parent's thickness; its two middle
     # values sum past the float maximum
     c = BinaryNode("c", big, BinaryNode("d", big, BinaryNode("e", big, BinaryNode("f", top))))
@@ -301,8 +302,8 @@ def test_flags_tsv_roundtrip():
     assert flags
     text = flags_to_tsv(flags)
     back = flags_from_tsv(text)
-    assert [(f.subject_id, f.region_code, f.kind, f.node_id) for f in back] == \
-           [(f.subject_id, f.region_code, f.kind, f.node_id) for f in flags]
+    assert [(f.subject_id, f.region, f.kind, f.node_id) for f in back] == \
+           [(f.subject_id, f.region, f.kind, f.node_id) for f in flags]
     for a, b in zip(back, flags):
         assert a.severity == pytest.approx(b.severity, abs=1e-4)
 
@@ -310,7 +311,7 @@ def test_flags_tsv_roundtrip():
 def test_flags_tsv_skips_only_its_own_header():
     # a subject may be named "subject"; only the exact header line is skipped
     row = "subject\tB\tVein\tn1\t0.5"
-    assert flags_from_tsv(row + "\n") == [FlagRecord("subject", "B", FlagKind.VEIN, "n1", 0.5)]
+    assert flags_from_tsv(row + "\n") == [FlagRecord("subject", Region.BACK, FlagKind.VEIN, "n1", 0.5)]
     assert flags_from_tsv(flags_to_tsv([]) + row + "\n") == flags_from_tsv(row + "\n")
     # a foreign header is a bad row 1
     with pytest.raises(ValueError, match="^line 1: not enough values to unpack"):

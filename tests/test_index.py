@@ -118,7 +118,7 @@ def brute_misconnection(tree, epsilon=0.3, min_subtree=3):
             if len(vals) >= min_subtree:
                 med = statistics.median(vals)
                 if med - parent.thickness - epsilon > 0:
-                    flags.append(FlagRecord(tree.subject_id, tree.region.value,
+                    flags.append(FlagRecord(tree.subject_id, tree.region,
                                             FlagKind.MISCONNECTION, node.node_id,
                                             med - parent.thickness))
                     return

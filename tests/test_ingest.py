@@ -183,6 +183,8 @@ def test_dltree_error_classes():
         ("HEADER s B\n(r:1\n", "expected ')' (line 2, col 5)"),
         ("(r:1)\n",
          "first non-comment line must be HEADER <subject_id> <region> (line 1, col 1)"),
+        ("", "empty .dltree file"),
+        ("# a comment\n\n", "empty .dltree file"),
     ]:
         with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_dltree(text)
@@ -255,6 +257,14 @@ def test_graphs_are_equal_by_columns_and_serialize_by_value():
         b"HEADER s B\nPOINT p1 0.0 0.0 0.0 1.0\nPOINT p2 1.0 0.0 0.0 0.5\n"
         b"POINT p3 1.0 0.0 0.0 0.5\nPOINT p4 2.0 0.0 0.0 0.25\n"
         b"SEGMENT 1 p1 p2\nSEGMENT 2 p3 p4\nCONNECT 1 2\nROOT 1\n")
+
+
+def test_graphs_that_differ_only_in_root_order_are_equal():
+    records = "HEADER s B\nPOINT a 0 0 0 1.0\nPOINT b 1 0 0 0.5\nSEGMENT 10 a b\nSEGMENT 9 b a\n"
+    g, h = parse_vess(records + "ROOT 10\nROOT 9\n"), parse_vess(records + "ROOT 9\nROOT 10\n")
+    assert g.roots == h.roots == ("9", "10")
+    assert g == h
+    assert serialize_vess(g) == serialize_vess(h)
 
 
 @settings(max_examples=150, deadline=None)

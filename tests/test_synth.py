@@ -177,6 +177,11 @@ def test_too_small_trees_raise():
     for kind in (FlagKind.VEIN, FlagKind.MISCONNECTION):
         with pytest.raises(TreeTooSmallError):
             inject_anomaly(tiny, kind, seed=2)
+    # a chain above a phantom root would join two vessels under one trunk
+    phantom = BinaryTree("s", Region.BACK, ids=("ph", "a", "b"), thickness=(None, 1.0, 1.0),
+                         size=(3, 1, 1))
+    with pytest.raises(TreeTooSmallError, match="^cannot prepend above a phantom root$"):
+        inject_anomaly(phantom, FlagKind.STARTING_POINT, seed=2)
 
 
 def test_max_graft_size_bounds_feasibility():
@@ -216,7 +221,7 @@ def test_inject_corpus_ground_truth_matches_scan():
     flagged = set()
     for e in dirty:
         for f in scan_tree(e.tree):
-            flagged.add((f.subject_id, f.region_code, f.kind, f.node_id))
+            flagged.add((f.subject_id, f.region.value, f.kind, f.node_id))
     assert flagged == {(s, r, k, n) for s, r, k, n in truth}
 
 
