@@ -101,28 +101,37 @@ def _tree_filename(tree: BinaryTree) -> str:
     return name
 
 
-def _read_config(path: Path) -> dict[str, int | float]:
-    """Detector settings from `key = value` lines, keyed by DetectorConfig field."""
-    types = {f.name: f.type for f in fields(DetectorConfig)}
-    values = {}
+# key -> int or float, the type of its DetectorConfig field
+_SETTINGS = {f.name: int if f.type == "int" else float for f in fields(DetectorConfig)}
+
+
+def _set(config: DetectorConfig, key: str, value: str, where: str) -> DetectorConfig:
+    """config with key read from value as a file number (an int takes no '.')."""
+    try:
+        if not ingest._NUM_RE.fullmatch(value) or (_SETTINGS[key] is int and "." in value):
+            raise ValueError(f"expected a positive and finite {_SETTINGS[key].__name__}")
+        return replace(config, **{key: _SETTINGS[key](value)})
+    except ValueError as e:
+        raise DataError(f"{where}: bad value {value!r} for {key}: {e}")
+
+
+def _read_config(path: Path) -> DetectorConfig:
+    """The detector settings of `key = value` lines, the rest left at their defaults."""
+    config = DetectorConfig()
     first = {}  # key -> the line that gave it
     for lineno, _, _, line in ingest._lines(_read_text(path)):
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in types:
+        if key not in _SETTINGS:
             raise DataError(f"{path}:{lineno}: unknown key {key!r} "
-                            f"(expected one of {', '.join(types)})")
+                            f"(expected one of {', '.join(_SETTINGS)})")
+        config = _set(config, key, value, f"{path}:{lineno}")
         if key in first:
             raise DataError(f"{path}:{lineno}: key {key!r} given twice "
                             f"(first on line {first[key]})")
         first[key] = lineno
-        try:
-            values[key] = int(value) if types[key] == "int" else float(value)
-            replace(DetectorConfig(), **{key: values[key]})
-        except ValueError as e:
-            raise DataError(f"{path}:{lineno}: bad value {value!r} for {key}: {e}")
-    return values
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +179,9 @@ def cmd_render(args) -> int:
 
 def cmd_scan(args) -> int:
     corpus = _load_corpus(Path(args.directory))
-    settings = _read_config(Path(args.config)) if args.config else {}
+    config = _read_config(Path(args.config)) if args.config else DetectorConfig()
     if args.epsilon_mm is not None:  # the flag wins over the file
-        settings["epsilon_mm"] = args.epsilon_mm
-    config = DetectorConfig(**settings)
+        config = _set(config, "epsilon_mm", args.epsilon_mm, "--epsilon-mm")
     # trees in (subject, region) order, each tree's flags in (kind, node) order
     flags = [f for _, tree in sorted(corpus.items()) for f in detect.scan_tree(tree, config)]
     _write_atomic(Path(args.report), detect.flags_to_tsv(flags).encode("utf-8"))
@@ -294,17 +302,15 @@ def cmd_stats(args) -> int:
             records = detect.flags_from_tsv(_read_text(Path(args.flags)))
         except ValueError as e:
             raise DataError(f"{args.flags}: {e}")
-        trees = {}  # (subject, region) -> the node ids of its tree in each corpus
-        for e in entries + compared:
-            trees.setdefault((e.tree.subject_id, e.tree.region), []).append(e.tree.ids)
-        where = f"{args.directory} or {args.compare}" if args.compare else args.directory
+        # the table describes the corpus that scan read: --compare's when given
+        scanned, where = (compared, args.compare) if args.compare else (entries, args.directory)
+        trees = {(e.tree.subject_id, e.tree.region): e.tree.ids for e in scanned}
         for r in records:
-            ids = trees.get((r.subject_id, r.region), ())
-            if not any(r.node_id in tree_ids for tree_ids in ids):
-                what = f"node {r.node_id!r} in tree" if ids else "tree"
+            ids = trees.get((r.subject_id, r.region))
+            if ids is None or r.node_id not in ids:
+                what = "tree" if ids is None else f"node {r.node_id!r} in tree"
                 raise DataError(f"{args.flags}: no {what} {r.subject_id}/{r.region.value} in {where}")
-        # every tree of the corpus is a point of its region's regression
-        summary = stats.summarize_flags(records, sum(r.n for r in primary.values()))
+        summary = stats.summarize_flags(records, len(scanned))
     # written only once every input has been read and checked
     _write_atomic(Path(args.out),
                   stats.comparison_to_tsv(primary, baseline).encode("utf-8"))
@@ -348,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("directory")
     p.add_argument("--config")
     p.add_argument("--report", required=True)
-    p.add_argument("--epsilon-mm", dest="epsilon_mm", type=float)
+    p.add_argument("--epsilon-mm", dest="epsilon_mm")
     p.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p.set_defaults(func=cmd_scan)
 

@@ -38,8 +38,8 @@ class DetectorConfig:
     startpoint_min_chain: int = 3
 
     def __post_init__(self):
-        # NaN fails every comparison, so a NaN epsilon would silently flag nothing
-        if not all(math.isfinite(v) and v > 0 for v in (
+        # NaN fails every comparison, and an int of any size compares with inf
+        if not all(0 < v < math.inf for v in (
                 self.epsilon_mm, self.misconnection_min_subtree,
                 self.startpoint_thick_mm, self.startpoint_min_chain)):
             raise ValueError("detector thresholds must be positive and finite")

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import chain, count, filterfalse, groupby, repeat
+from itertools import chain, filterfalse, groupby
 from operator import itemgetter
 from typing import Optional, Union
 
@@ -72,8 +72,6 @@ _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9.+~-]*")
 # edit-script line, so it holds no '/' and starts with no '.' or '#'.
 _SUBJECT_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._+~-]*")
 _NUM_RE = re.compile(r"-?\d+(?:\.\d+)?")
-_LINE_BREAK = re.compile(r"\r\n|\r|\n")  # the breaks that number lines
-_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # splitlines' other breaks
 
 
 def _pieces(text: str):
@@ -82,12 +80,11 @@ def _pieces(text: str):
     Lines are numbered at \\n, \\r\\n and \\r only.  A piece after one of
     splitlines' other breaks (\\v, \\f, \\x1c-\\x1e, \\x85, \\u2028,
     \\u2029) keeps the number of the line it sits on, and its offset counts
-    from that line's start.  Every text reader numbers its lines here.
+    from that line's start.  An empty line gives no piece.  Every text
+    reader numbers its lines here.
     """
-    if not any(map(text.__contains__, _OTHER_BREAKS)):  # each piece is a file line
-        yield from zip(count(1), repeat(0), text.splitlines())
-        return
-    for lineno, line in enumerate(_LINE_BREAK.split(text), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         col = 0
         for piece in line.splitlines():  # every break left in a line is one character
             yield lineno, col, piece

@@ -403,6 +403,12 @@ def test_duplicate_tree_key_is_a_data_error(tmp_path, capsys):
     ("epsilon_mm = -1", "bad value '-1'"),
     ("epsilon_mm = nan", "bad value 'nan'"),
     ("misconnection_min_subtree = 2.5", "bad value '2.5'"),
+    # int() and float() read more than the file number grammar
+    ("epsilon_mm = 1_0", "bad value '1_0' for epsilon_mm: expected a positive and finite float"),
+    ("startpoint_min_chain = 0_3", "bad value '0_3'"),
+    ("startpoint_thick_mm = 3e0", "bad value '3e0'"),
+    ("startpoint_min_chain = +3", "bad value '+3' for startpoint_min_chain: "
+                                  "expected a positive and finite int"),
     # a later value must not win quietly
     ("startpoint_min_chain = 5", "key 'startpoint_min_chain' given twice (first on line 2)"),
 ])
@@ -416,6 +422,18 @@ def test_bad_config_line_names_file_and_line(tmp_path, capsys, line, problem):
                "--report", str(tmp_path / "r.tsv")) == EXIT_DATA_ERROR
     err = capsys.readouterr().err
     assert f"{cfg}:3: {problem}" in err
+
+
+@pytest.mark.parametrize("epsilon", ["1_0", "3e0", "+0.3", "nan"])
+def test_the_epsilon_flag_is_read_as_a_config_value(tmp_path, capsys, epsilon):
+    corpus = tmp_path / "corpus"
+    assert run("synth", "--subjects", "2", "--seed", "9", "--out-dir", str(corpus)) == EXIT_OK
+    report = tmp_path / "r.tsv"
+    assert run("scan", str(corpus), "--epsilon-mm", epsilon,
+               "--report", str(report)) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == (f"error: --epsilon-mm: bad value {epsilon!r} for "
+                                       "epsilon_mm: expected a positive and finite float\n")
+    assert not report.exists()
 
 
 @pytest.fixture
@@ -449,6 +467,35 @@ def test_bad_flags_row_names_file_and_line(tmp_path, capsys, small_corpus, row, 
     assert f"{flags}: {problem}" in capsys.readouterr().err
     assert not (tmp_path / "t.tsv").exists()
     assert not (tmp_path / "s.tsv").exists()
+
+
+def test_a_flags_table_is_read_against_the_corpus_scan_read(tmp_path, capsys):
+    # scan reads the --compare corpus, and an EXCLUDE of a subject with no
+    # flag leaves the primary corpus 12 of its 16 trees
+    corpus, fixed = tmp_path / "corpus", tmp_path / "fixed"
+    assert run("synth", "--subjects", "4", "--seed", "3", "--inject", "vein=1",
+               "--out-dir", str(corpus)) == EXIT_OK
+    flags = tmp_path / "flags.tsv"
+    assert run("scan", str(corpus), "--report", str(flags)) == EXIT_FLAGS_FOUND
+    script = tmp_path / "fix.edits"
+    script.write_text("s003 * EXCLUDE\n")
+    assert run("apply-edits", str(corpus), "--script", str(script),
+               "--out-dir", str(fixed)) == EXIT_OK
+    out, summary = tmp_path / "t.tsv", tmp_path / "s.tsv"
+    argv = ["stats", str(fixed), "--covariates", str(corpus / "ages.tsv"), "--compare",
+            str(corpus), "--out", str(out), "--flags", str(flags), "--summary-out", str(summary)]
+    assert run(*argv) == EXIT_OK
+    assert summary.read_text().splitlines()[-1] == "flagged_trees\t1\tof\t16\t6.2%"
+    out.unlink()
+    summary.unlink()
+    # a node that only the primary corpus's tree holds is not in the scanned corpus
+    (fixed / "s000_B.dltree").write_text("HEADER s000 B\n(fixedonly:3.8)\n")
+    with flags.open("a") as fh:
+        fh.write("s000\tB\tVein\tfixedonly\t0.5000\n")
+    assert run(*argv) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == (f"error: {flags}: no node 'fixedonly' in tree "
+                                       f"s000/B in {corpus}\n")
+    assert not out.exists() and not summary.exists()
 
 
 @pytest.mark.parametrize("given, missing", [("--flags", "--summary-out"),

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dlview.core import BinaryNode, BinaryTree, Region
+from dlview.ingest import parse_dltree
 from dlview.detect import (
     DetectorConfig,
     FlagKind,
@@ -328,3 +329,11 @@ def test_config_validation():
             DetectorConfig(epsilon_mm=bad)
         with pytest.raises(ValueError, match="positive and finite"):
             DetectorConfig(startpoint_thick_mm=bad)
+
+
+def test_a_huge_int_threshold_is_a_valid_config():
+    # an int past float range once raised OverflowError in the finiteness check
+    huge = 10 ** 400
+    cfg = DetectorConfig(misconnection_min_subtree=huge, startpoint_min_chain=huge)
+    tree = parse_dltree("HEADER s B\n(r:9.0,(a:9.0,(b:9.0,(c:9.0))),(v:0.5,(w:0.2),(x:5.0)))\n")
+    assert [f.kind for f in scan_tree(tree, cfg)] == [FlagKind.VEIN]
