@@ -4,6 +4,9 @@ Corpus convention: one `.dltree` per component tree, named
 `<subject>_<region>.dltree`.  All outputs are UTF-8 with LF line endings
 and written atomically (temp file + rename), with the mode a plain open()
 gives.  Exit codes: 0 ok, 1 data error, 2 usage error, 3 scan found flags.
+A data error prints `error: <path>:<line>[:<col>]: <message>` for a line of
+an input file, `error: <path>: <message>` for a file's error tied to no line,
+or `error: <message>`; _read, which reads every input file, writes each place.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from . import detect, edit, ingest, stats, synth
 from .core import BinaryTree, CorpusEntry
 from .detect import DetectorConfig, FlagKind
 from .extract import extract_binary_tree
+from .ingest import ParseError, parse_dltree
 from .layout import build_layout
 from .render import (MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, RenderOptions,
                      render_svg)
@@ -31,7 +35,7 @@ EXIT_USAGE = 2
 EXIT_FLAGS_FOUND = 3
 
 
-class DataError(Exception):
+class DataError(ValueError):
     pass
 
 
@@ -56,20 +60,20 @@ def _write_atomic(path: Path, data: bytes) -> None:
         raise
 
 
-def _read_text(path: Path) -> str:
-    """The file's UTF-8 text, line breaks as written; a DataError names the
-    path of a file that is not UTF-8."""
-    try:
-        return path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: {e}")
-
-
-def _load_tree(path: Path) -> BinaryTree:
-    try:
-        return ingest.parse_dltree(_read_text(path))
+def _read(path: Path, reader):
+    """reader's value for the file's UTF-8 text.  A ValueError it raises, or a
+    byte that is not UTF-8, exits as a DataError: `path:line[:col]: message`
+    for a ParseError at a line, else `path: message`."""
+    try:  # the bytes are let go once decoded; an error keeps them in e.object
+        return reader(path.read_bytes().decode("utf-8"))
+    except UnicodeDecodeError as e:  # lines numbered as ingest._pieces numbers them
+        head = e.object[:e.start].decode("utf-8")
+        lines = head.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        place = len(lines), len(lines[-1]) + 1
+        message = f"'utf-8' codec can't decode byte 0x{e.object[e.start]:02x}: {e.reason}"
     except ValueError as e:
-        raise DataError(f"{path}: {e}")
+        place, message = (e.line, e.col) if isinstance(e, ParseError) else (), e
+    raise DataError(f"{path}{''.join(f':{n}' for n in place if n)}: {message}")
 
 
 def _load_corpus(directory: Path) -> dict[tuple[str, str], BinaryTree]:
@@ -79,7 +83,7 @@ def _load_corpus(directory: Path) -> dict[tuple[str, str], BinaryTree]:
     corpus = {}
     source = {}
     for p in paths:
-        tree = _load_tree(p)
+        tree = _read(p, parse_dltree)
         key = (tree.subject_id, tree.region.value)
         if key in corpus:
             raise DataError(f"{source[key]} and {p} both hold tree {key[0]}/{key[1]}")
@@ -105,31 +109,30 @@ def _tree_filename(tree: BinaryTree) -> str:
 _SETTINGS = {f.name: int if f.type == "int" else float for f in fields(DetectorConfig)}
 
 
-def _set(config: DetectorConfig, key: str, value: str, where: str) -> DetectorConfig:
+def _set(config: DetectorConfig, key: str, value: str, line: int = 0) -> DetectorConfig:
     """config with key read from value as a file number (an int takes no '.')."""
     try:
         if not ingest._NUM_RE.fullmatch(value) or (_SETTINGS[key] is int and "." in value):
             raise ValueError(f"expected a positive and finite {_SETTINGS[key].__name__}")
         return replace(config, **{key: _SETTINGS[key](value)})
     except ValueError as e:
-        raise DataError(f"{where}: bad value {value!r} for {key}: {e}")
+        raise ParseError(f"bad value {value!r} for {key}: {e}", line)
 
 
-def _read_config(path: Path) -> DetectorConfig:
+def _read_config(text: str) -> DetectorConfig:
     """The detector settings of `key = value` lines, the rest left at their defaults."""
     config = DetectorConfig()
     first = {}  # key -> the line that gave it
-    for lineno, _, _, line in ingest._lines(_read_text(path)):
+    for lineno, _, _, line in ingest._lines(text):
         if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected 'key = value'")
+            raise ParseError("expected 'key = value'", lineno)
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _SETTINGS:
-            raise DataError(f"{path}:{lineno}: unknown key {key!r} "
-                            f"(expected one of {', '.join(_SETTINGS)})")
-        config = _set(config, key, value, f"{path}:{lineno}")
+            raise ParseError(f"unknown key {key!r} (expected one of {', '.join(_SETTINGS)})",
+                             lineno)
+        config = _set(config, key, value, lineno)
         if key in first:
-            raise DataError(f"{path}:{lineno}: key {key!r} given twice "
-                            f"(first on line {first[key]})")
+            raise ParseError(f"key {key!r} given twice (first on line {first[key]})", lineno)
         first[key] = lineno
     return config
 
@@ -138,20 +141,20 @@ def _read_config(path: Path) -> DetectorConfig:
 # subcommands
 
 
+def _extract(text: str) -> tuple[str, bytes]:
+    """The output name and bytes of the tree extracted from .vess text."""
+    tree = extract_binary_tree(ingest.parse_vess(text))
+    return _tree_filename(tree), ingest.serialize_dltree(tree)
+
+
 def cmd_extract(args) -> int:
     out_dir = Path(args.out_dir)
     outputs = {}  # every input is read and named before anything is written
     for path in map(Path, args.inputs):
-        text = _read_text(path)
-        try:
-            tree = extract_binary_tree(ingest.parse_vess(text))
-            name = _tree_filename(tree)
-        except (ValueError, DataError) as e:  # a ParseError, a graph extraction
-            raise DataError(f"{path}: {e}")   # rejects, or a name too long
-        target = out_dir / name
-        first, _ = outputs.setdefault(target, (path, ingest.serialize_dltree(tree)))
+        name, data = _read(path, _extract)
+        first, _ = outputs.setdefault(out_dir / name, (path, data))
         if first is not path:
-            raise DataError(f"{first} and {path} both extract to {target}")
+            raise DataError(f"{first} and {path} both extract to {out_dir / name}")
     for target, (_, data) in outputs.items():
         _write_atomic(target, data)
     return EXIT_OK
@@ -172,16 +175,16 @@ def cmd_render(args) -> int:
         if outputs.setdefault(svg_path, path) is not path:
             raise DataError(f"{outputs[svg_path]} and {path} both render to {svg_path}")
     for svg_path, path in outputs.items():
-        svg = render_svg(build_layout(_load_tree(path), args.jitter_seed_salt), options)
+        svg = render_svg(build_layout(_read(path, parse_dltree), args.jitter_seed_salt), options)
         _write_atomic(svg_path, svg)
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
     corpus = _load_corpus(Path(args.directory))
-    config = _read_config(Path(args.config)) if args.config else DetectorConfig()
+    config = _read(Path(args.config), _read_config) if args.config else DetectorConfig()
     if args.epsilon_mm is not None:  # the flag wins over the file
-        config = _set(config, "epsilon_mm", args.epsilon_mm, "--epsilon-mm")
+        config = _set(config, "epsilon_mm", args.epsilon_mm)
     # trees in (subject, region) order, each tree's flags in (kind, node) order
     flags = [f for _, tree in sorted(corpus.items()) for f in detect.scan_tree(tree, config)]
     _write_atomic(Path(args.report), detect.flags_to_tsv(flags).encode("utf-8"))
@@ -190,11 +193,8 @@ def cmd_scan(args) -> int:
 
 def cmd_apply_edits(args) -> int:
     corpus = _load_corpus(Path(args.directory))
-    try:
-        script = edit.parse_script(_read_text(Path(args.script)))
-        edited = edit.apply_script(corpus, script)
-    except edit.EditScriptError as e:
-        raise DataError(f"{args.script}: {e}")
+    edited = _read(Path(args.script),
+                   lambda text: edit.apply_script(corpus, edit.parse_script(text)))
     out_dir = Path(args.out_dir)
     targets = [out_dir / _tree_filename(tree) for tree in edited.values()]  # before any write
     for target, tree in zip(targets, edited.values()):
@@ -255,9 +255,9 @@ _COVARIATES_HEADER = "subject\tage"  # line 1 of an ages.tsv; any other line 1 i
 _MAX_COVARIATE = 1e150
 
 
-def _read_covariates(path: Path) -> dict[str, float]:
+def _read_covariates(text: str) -> dict[str, float]:
     ages = {}
-    for lineno, _, line in ingest._pieces(_read_text(path)):
+    for lineno, _, line in ingest._pieces(text):
         if not line.strip() or (lineno == 1 and line == _COVARIATES_HEADER):
             continue
         try:
@@ -266,21 +266,11 @@ def _read_covariates(path: Path) -> dict[str, float]:
             if not ingest._NUM_RE.fullmatch(age) or abs(float(age)) > _MAX_COVARIATE:
                 raise ValueError("age is not a number in range")
         except ValueError:
-            raise DataError(f"{path}:{lineno}: bad covariate line {line!r}")
+            raise ParseError(f"bad covariate line {line!r}", lineno)
         if subject in ages:
-            raise DataError(f"{path}:{lineno}: subject {subject!r} listed twice")
+            raise ParseError(f"subject {subject!r} listed twice", lineno)
         ages[subject] = float(age)
     return ages
-
-
-def _corpus_entries(directory: Path, ages: dict[str, float]) -> list[CorpusEntry]:
-    corpus = _load_corpus(directory)
-    entries = []
-    for (subject, _), tree in sorted(corpus.items()):
-        if subject not in ages:
-            raise DataError(f"no covariate for subject {subject!r}")
-        entries.append(CorpusEntry(tree, ages[subject]))
-    return entries
 
 
 def _region_age_analysis(directory: str, entries: list[CorpusEntry]):
@@ -291,29 +281,39 @@ def _region_age_analysis(directory: str, entries: list[CorpusEntry]):
 
 
 def cmd_stats(args) -> int:
-    ages = _read_covariates(Path(args.covariates))
-    entries = _corpus_entries(Path(args.directory), ages)
-    primary = _region_age_analysis(args.directory, entries)
-    compared = _corpus_entries(Path(args.compare), ages) if args.compare else []
-    baseline = _region_age_analysis(args.compare, compared) if args.compare else None
+    directories = [d for d in (args.directory, args.compare) if d]
+    corpora = [sorted(_load_corpus(Path(d)).items()) for d in directories]
+
+    def read_entries(text: str) -> list[list[CorpusEntry]]:
+        ages = _read_covariates(text)
+        for directory, corpus in zip(directories, corpora):
+            for (subject, _), _tree in corpus:
+                if subject not in ages:
+                    raise ParseError(f"no covariate for subject {subject!r} of {directory}")
+        return [[CorpusEntry(tree, ages[subject]) for (subject, _), tree in corpus]
+                for corpus in corpora]
+
+    entries = _read(Path(args.covariates), read_entries)
+    primary, *baseline = map(_region_age_analysis, directories, entries)
     summary = None
     if args.flags:
-        try:
-            records = detect.flags_from_tsv(_read_text(Path(args.flags)))
-        except ValueError as e:
-            raise DataError(f"{args.flags}: {e}")
         # the table describes the corpus that scan read: --compare's when given
-        scanned, where = (compared, args.compare) if args.compare else (entries, args.directory)
-        trees = {(e.tree.subject_id, e.tree.region): e.tree.ids for e in scanned}
-        for r in records:
-            ids = trees.get((r.subject_id, r.region))
-            if ids is None or r.node_id not in ids:
-                what = "tree" if ids is None else f"node {r.node_id!r} in tree"
-                raise DataError(f"{args.flags}: no {what} {r.subject_id}/{r.region.value} in {where}")
-        summary = stats.summarize_flags(records, len(scanned))
+        trees = {(e.tree.subject_id, e.tree.region): e.tree.ids for e in entries[-1]}
+
+        def read_flags(text: str) -> list[detect.FlagRecord]:
+            records = detect.flags_from_tsv(text)
+            for r in records:
+                ids = trees.get((r.subject_id, r.region))
+                if ids is None or r.node_id not in ids:
+                    what = "tree" if ids is None else f"node {r.node_id!r} in tree"
+                    raise ParseError(f"no {what} {r.subject_id}/{r.region.value} "
+                                     f"in {directories[-1]}", r.lineno)
+            return records
+
+        summary = stats.summarize_flags(_read(Path(args.flags), read_flags), len(entries[-1]))
     # written only once every input has been read and checked
     _write_atomic(Path(args.out),
-                  stats.comparison_to_tsv(primary, baseline).encode("utf-8"))
+                  stats.comparison_to_tsv(primary, *baseline).encode("utf-8"))
     if summary is not None:
         _write_atomic(Path(args.summary_out),
                       stats.summary_to_tsv(summary).encode("utf-8"))
@@ -392,7 +392,7 @@ def main(argv=None) -> int:
                      else "stats --summary-out needs --flags")
     try:
         return args.func(args)
-    except (DataError, OSError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

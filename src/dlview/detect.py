@@ -16,10 +16,10 @@ from __future__ import annotations
 import enum
 import math
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import BinaryTree, Region
-from .ingest import _NUM_RE, _pieces
+from .ingest import _NUM_RE, ParseError, _pieces
 
 
 class FlagKind(enum.Enum):
@@ -52,6 +52,7 @@ class FlagRecord:
     kind: FlagKind
     node_id: str
     severity: float  # mm of excess
+    lineno: int = field(default=0, compare=False, repr=False)  # its flags-table line
 
 
 def _median(s) -> float:
@@ -201,7 +202,7 @@ def flags_to_tsv(flags) -> str:
 
 
 def flags_from_tsv(text: str) -> list[FlagRecord]:
-    """Parse a flags.tsv; a bad row raises ValueError naming its line.
+    """Parse a flags.tsv; a bad row raises a ParseError at its line.
 
     Line 1 is skipped when it is FLAGS_HEADER, and read as a row otherwise.
     A severity is a number >= 0 in the .dltree grammar, or the inf that
@@ -215,7 +216,7 @@ def flags_from_tsv(text: str) -> list[FlagRecord]:
             region, kind = Region.from_code(region), FlagKind(kind)
             if not (_NUM_RE.fullmatch(severity) or severity == "inf") or float(severity) < 0:
                 raise ValueError(f"bad severity {severity!r} (expected a number >= 0, or inf)")
-            records.append(FlagRecord(subject, region, kind, node, float(severity)))
+            records.append(FlagRecord(subject, region, kind, node, float(severity), lineno))
         except ValueError as e:
-            raise ValueError(f"line {lineno}: {e}")
+            raise ParseError(str(e), lineno)
     return records

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import BinaryTree, Region, UnknownNodeError
-from .ingest import _lines
+from .ingest import ParseError, _lines
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class ScriptLine:
     lineno: int = 0
 
 
-class EditScriptError(ValueError):
+class EditScriptError(ParseError):
     pass
 
 
@@ -116,7 +116,7 @@ def parse_script(text: str) -> list[ScriptLine]:
                     raise ValueError(f"unknown operation {toks[2]!r}")
                 op = _OP_OF_VERB[toks[2]](toks[3])
         except ValueError as e:
-            raise EditScriptError(f"line {lineno}: {e}")
+            raise EditScriptError(str(e), lineno)
         lines.append(ScriptLine(toks[0], region, op, lineno))
     return lines
 
@@ -154,5 +154,5 @@ def apply_script(corpus: dict[tuple[str, str], BinaryTree],
             out[key] = _NODE_OPS[type(line.op)][1](out[key], line.op.node_id)
         except (EditScriptError, UnknownNodeError) as e:
             # a KeyError's str() is its message's repr
-            raise EditScriptError(f"line {line.lineno}: {e.args[0]}")
+            raise EditScriptError(e.args[0], line.lineno)
     return out

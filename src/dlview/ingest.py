@@ -58,13 +58,13 @@ from .core import (
 
 
 class ParseError(ValueError):
+    """An input error, its text the bare message; `.line` and `.col` are 1-based
+    (line 0 when it is tied to no line, col None when only the line is known)."""
+
     def __init__(self, message: str, line: int = 0, col: Optional[int] = None):
+        super().__init__(message)
         self.line = line
         self.col = col
-        loc = ""
-        if line:  # .vess errors know only the line
-            loc = f" (line {line})" if col is None else f" (line {line}, col {col})"
-        super().__init__(message + loc)
 
 
 _ID_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9.+~-]*")

@@ -20,6 +20,7 @@ from dlview.cli import (
     EXIT_FLAGS_FOUND,
     EXIT_OK,
     DataError,
+    _read,
     _read_covariates,
     main,
     parse_inject_spec,
@@ -420,8 +421,7 @@ def test_bad_config_line_names_file_and_line(tmp_path, capsys, line, problem):
     cfg.write_text(f"# detector settings\nstartpoint_min_chain = 3\n{line}\n")
     assert run("scan", str(corpus), "--config", str(cfg),
                "--report", str(tmp_path / "r.tsv")) == EXIT_DATA_ERROR
-    err = capsys.readouterr().err
-    assert f"{cfg}:3: {problem}" in err
+    assert capsys.readouterr().err.startswith(f"error: {cfg}:3: {problem}")
 
 
 @pytest.mark.parametrize("epsilon", ["1_0", "3e0", "+0.3", "nan"])
@@ -431,8 +431,9 @@ def test_the_epsilon_flag_is_read_as_a_config_value(tmp_path, capsys, epsilon):
     report = tmp_path / "r.tsv"
     assert run("scan", str(corpus), "--epsilon-mm", epsilon,
                "--report", str(report)) == EXIT_DATA_ERROR
-    assert capsys.readouterr().err == (f"error: --epsilon-mm: bad value {epsilon!r} for "
-                                       "epsilon_mm: expected a positive and finite float\n")
+    # a value from no file has no place
+    assert capsys.readouterr().err == (f"error: bad value {epsilon!r} for epsilon_mm: "
+                                       "expected a positive and finite float\n")
     assert not report.exists()
 
 
@@ -444,19 +445,26 @@ def small_corpus(tmp_path):
     return corpus
 
 
+def _placed(path: Path, problem: str) -> str:
+    """The start of the error line for a problem given as `line N: message`."""
+    line, message = re.fullmatch(r"line (\d+): (.*)", problem).groups()
+    return f"error: {path}:{line}: {message}"
+
+
 @pytest.mark.parametrize("row, problem", [
     ("s000\tB\tVein", "line 3: not enough values to unpack (expected 5, got 3)"),
     ("s000\tB\tVien\tn3\t0.5000", "line 3: 'Vien' is not a valid FlagKind"),
     ("s000\tB\tVein\tn3\tlots", "line 3: bad severity 'lots' (expected a number >= 0, or inf)"),
     ("s000\tQ\tVein\tn3\t0.5000", "line 3: unknown region code 'Q'"),
-    ("s900\tB\tVein\tn3\t0.5000", "no tree s900/B in "),
+    ("s900\tB\tVein\tn3\t0.5000", "line 3: no tree s900/B in "),
     # scan writes no negative or NaN severity, and float() reads more than
     # the number grammar
     ("s000\tB\tVein\tn3\t-7", "line 3: bad severity '-7'"),
     ("s000\tB\tVein\tn3\tnan", "line 3: bad severity 'nan'"),
     ("s000\tB\tVein\tn3\t2_8", "line 3: bad severity '2_8'"),
     ("s000\tB\tVein\tn3\t 0.5 ", "line 3: bad severity ' 0.5 '"),
-    ("s000\tB\tVein\tno_such_node\t0.5000", "no node 'no_such_node' in tree s000/B in "),
+    ("s000\tB\tVein\tno_such_node\t0.5000",
+     "line 3: no node 'no_such_node' in tree s000/B in "),
 ])
 def test_bad_flags_row_names_file_and_line(tmp_path, capsys, small_corpus, row, problem):
     flags = tmp_path / "flags.tsv"
@@ -464,7 +472,7 @@ def test_bad_flags_row_names_file_and_line(tmp_path, capsys, small_corpus, row, 
     assert run("stats", str(small_corpus), "--covariates", str(small_corpus / "ages.tsv"),
                "--out", str(tmp_path / "t.tsv"), "--flags", str(flags),
                "--summary-out", str(tmp_path / "s.tsv")) == EXIT_DATA_ERROR
-    assert f"{flags}: {problem}" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(_placed(flags, problem))
     assert not (tmp_path / "t.tsv").exists()
     assert not (tmp_path / "s.tsv").exists()
 
@@ -493,7 +501,8 @@ def test_a_flags_table_is_read_against_the_corpus_scan_read(tmp_path, capsys):
     with flags.open("a") as fh:
         fh.write("s000\tB\tVein\tfixedonly\t0.5000\n")
     assert run(*argv) == EXIT_DATA_ERROR
-    assert capsys.readouterr().err == (f"error: {flags}: no node 'fixedonly' in tree "
+    line = len(flags.read_text().splitlines())
+    assert capsys.readouterr().err == (f"error: {flags}:{line}: no node 'fixedonly' in tree "
                                        f"s000/B in {corpus}\n")
     assert not out.exists() and not summary.exists()
 
@@ -530,26 +539,26 @@ def test_bad_covariate_line_names_file_and_line(tmp_path, capsys, small_corpus, 
     ages.write_text(f"subject\tage\ns000\t30.0\n{row}\n")
     assert run("stats", str(small_corpus), "--covariates", str(ages),
                "--out", str(tmp_path / "t.tsv")) == EXIT_DATA_ERROR
-    assert f"{ages}:3: {problem}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {ages}:3: {problem}\n"
 
 
 def test_covariates_skip_only_their_own_header(tmp_path):
     ages = tmp_path / "ages.tsv"
     ages.write_text("subjectA\t28.06\nsubjectB\t30.0\n")
-    assert _read_covariates(ages) == {"subjectA": 28.06, "subjectB": 30.0}
+    assert _read(ages, _read_covariates) == {"subjectA": 28.06, "subjectB": 30.0}
     ages.write_text("subject\tage\nsubjectA\t28.06\n")
-    assert _read_covariates(ages) == {"subjectA": 28.06}
+    assert _read(ages, _read_covariates) == {"subjectA": 28.06}
     # a foreign header is a bad row 1
     ages.write_text("subject\tage_years\nsubjectA\t28.06\n")
     with pytest.raises(DataError, match=f"^{re.escape(str(ages))}:1: bad covariate line"):
-        _read_covariates(ages)
+        _read(ages, _read_covariates)
 
 
 def test_covariates_read_the_file_number_grammar(tmp_path):
     # \d takes any Unicode decimal digit, in ages as in .vess and .dltree numbers
     ages = tmp_path / "ages.tsv"
     ages.write_text("s000\t-3.25\ns001\t\uff16\uff10\n")
-    assert _read_covariates(ages) == {"s000": -3.25, "s001": 60.0}
+    assert _read(ages, _read_covariates) == {"s000": -3.25, "s001": 60.0}
 
 
 def test_huge_age_exits_with_the_covariates_file(tmp_path, capsys, small_corpus):
@@ -559,7 +568,7 @@ def test_huge_age_exits_with_the_covariates_file(tmp_path, capsys, small_corpus)
     ages.write_text("\n".join(rows[:-1] + [rows[-1].split("\t")[0] + "\t1e200"]) + "\n")
     assert run("stats", str(small_corpus), "--covariates", str(ages),
                "--out", str(tmp_path / "t.tsv")) == EXIT_DATA_ERROR
-    assert f"{ages}:{len(rows)}: bad covariate line" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {ages}:{len(rows)}: bad covariate line")
 
 
 def test_stats_error_names_the_corpus_and_region(tmp_path, capsys, small_corpus):
@@ -576,7 +585,12 @@ def test_stats_error_names_the_corpus_and_region(tmp_path, capsys, small_corpus)
             (small_corpus, constant, None,
              f"error: {small_corpus}: region Back: covariate is constant; slope undefined"),
             (small_corpus, small_corpus / "ages.tsv", two,
-             f"error: {two}: region Back: need at least 3 points, got 2")):
+             f"error: {two}: region Back: need at least 3 points, got 2"),
+            # an ages table that lacks a subject of either corpus
+            (small_corpus, two / "ages.tsv", None,
+             f"error: {two / 'ages.tsv'}: no covariate for subject 's002' of {small_corpus}"),
+            (two, two / "ages.tsv", small_corpus,
+             f"error: {two / 'ages.tsv'}: no covariate for subject 's002' of {small_corpus}")):
         argv = ["stats", str(corpus), "--covariates", str(ages), "--out", str(out),
                 "--flags", str(flags), "--summary-out", str(summary)]
         assert run(*argv, *(["--compare", str(compare)] if compare else [])) == EXIT_DATA_ERROR
@@ -600,7 +614,7 @@ def test_every_failed_script_line_is_named_by_its_number(tmp_path, capsys, small
     script.write_text(f"s001 * EXCLUDE\n{line}\n")  # n1 is s000/B's root, n2 its left child
     assert run("apply-edits", str(small_corpus), "--script", str(script),
                "--out-dir", str(tmp_path / "fixed")) == EXIT_DATA_ERROR
-    assert capsys.readouterr().err == f"error: {script}: {problem}\n"
+    assert capsys.readouterr().err == _placed(script, problem) + "\n"
     assert not (tmp_path / "fixed").exists()
 
 
@@ -609,33 +623,41 @@ def test_bad_script_region_names_script_and_line(tmp_path, capsys, small_corpus)
     script.write_text("# repairs\ns000 Q DELETE_LEAF n3\n")
     assert run("apply-edits", str(small_corpus), "--script", str(script),
                "--out-dir", str(tmp_path / "fixed")) == EXIT_DATA_ERROR
-    assert f"{script}: line 2: unknown region code 'Q'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {script}:2: unknown region code 'Q' (expected B, L, R or F)\n")
 
 
 @pytest.mark.parametrize("brk", ["\f", "\x85", "\u2028"], ids=["ff", "nel", "ls"])
 @pytest.mark.parametrize("reader, text, problem", [
     ("script", "# repairs{brk}# more\ns000 Q DELETE_LEAF n3\n",
-     "{path}: line 2: unknown region code 'Q'"),
+     "{path}:2: unknown region code 'Q' (expected B, L, R or F)"),
     ("config", "# detector settings{brk}startpoint_min_chain = 3\nepsilon = 0.01\n",
-     "{path}:2: unknown key 'epsilon'"),
+     "{path}:2: unknown key 'epsilon' (expected one of epsilon_mm, "
+     "misconnection_min_subtree, startpoint_thick_mm, startpoint_min_chain)"),
     ("covariates", "subject\tage{brk}s000\t30.0\ns001 40.0\n",
      "{path}:2: bad covariate line 's001 40.0'"),
     ("flags", "subject\tregion\tkind\tnode\tseverity{brk}s001\tL\tVein\tn2\t0.5000\n"
-     "s000\tQ\tVein\tn3\t0.5000\n", "{path}: line 2: unknown region code 'Q'"),
-], ids=["script", "config", "covariates", "flags"])
+     "s000\tQ\tVein\tn3\t0.5000\n", "{path}:2: unknown region code 'Q' (expected B, L, R or F)"),
+    ("dltree", "HEADER s9 B{brk}(r:1.0,\n(a:-1))\n", "{path}:2:4: node 'a' has negative thickness"),
+    ("vess", "HEADER g B\nPOINT p1 0 0 0 1{brk}POINT p2 0 0 0 -1\n",
+     "{path}:2: point 'p2' has radius -1.0 <= 0"),
+], ids=["script", "config", "covariates", "flags", "dltree", "vess"])
 def test_text_readers_number_lines_at_line_ends_only(tmp_path, capsys, small_corpus,
                                                      reader, text, problem, brk):
     # a Unicode break inside file line 1 ends a record but not the line
     path = tmp_path / f"{reader}.txt"
     path.write_bytes(text.format(brk=brk).encode("utf-8"))
     out = tmp_path / "out"
-    argv = {"script": ("apply-edits", "--script", path, "--out-dir", out),
-            "config": ("scan", "--config", path, "--report", out / "r.tsv"),
-            "covariates": ("stats", "--covariates", path, "--out", out / "t.tsv"),
-            "flags": ("stats", "--covariates", small_corpus / "ages.tsv", "--out", out / "t.tsv",
-                      "--flags", path, "--summary-out", out / "s.tsv")}[reader]
-    assert run(argv[0], str(small_corpus), *map(str, argv[1:])) == EXIT_DATA_ERROR
-    assert problem.format(path=path) in capsys.readouterr().err
+    argv = {"script": ("apply-edits", small_corpus, "--script", path, "--out-dir", out),
+            "config": ("scan", small_corpus, "--config", path, "--report", out / "r.tsv"),
+            "covariates": ("stats", small_corpus, "--covariates", path, "--out", out / "t.tsv"),
+            "flags": ("stats", small_corpus, "--covariates", small_corpus / "ages.tsv",
+                      "--out", out / "t.tsv", "--flags", path, "--summary-out", out / "s.tsv"),
+            "dltree": ("render", path, "--out-dir", out),
+            "vess": ("extract", path, "--out-dir", out)}[reader]
+    assert run(*map(str, argv)) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == "error: " + problem.format(path=path) + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, bad", [
@@ -661,8 +683,22 @@ def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys, small_corpus, comman
                       "--out", str(out / "t.tsv"))}[command]
     first = str(path if command in ("render", "extract") else small_corpus)
     assert run(command, first, *argv) == EXIT_DATA_ERROR
-    assert capsys.readouterr().err.startswith(f"error: {path}: 'utf-8' codec can't decode")
+    assert capsys.readouterr().err == (
+        f"error: {path}:1:3: 'utf-8' codec can't decode byte 0xff: invalid start byte\n")
     assert not out.exists()
+
+
+def test_a_byte_that_is_not_utf8_is_placed_at_its_line_and_column(tmp_path, capsys,
+                                                                 small_corpus):
+    # lines end at \r\n and \r, not at \u2028, and a column counts characters
+    config = tmp_path / "detect.cfg"
+    config.write_bytes("# réglages\r\n# two\r# \u2028x".encode("utf-8") + b"\xe9 \n")
+    report = tmp_path / "r.tsv"
+    assert run("scan", str(small_corpus), "--config", str(config),
+               "--report", str(report)) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == (
+        f"error: {config}:3:5: 'utf-8' codec can't decode byte 0xe9: invalid continuation byte\n")
+    assert not report.exists()
 
 
 def test_apply_edits_merge_of_huge_thicknesses_reads_back(tmp_path):
@@ -694,7 +730,7 @@ def test_apply_edits_rejects_a_subject_that_leaves_the_out_dir(tmp_path, capsys)
     assert run("apply-edits", str(corpus), "--script", str(script),
                "--out-dir", str(out)) == EXIT_DATA_ERROR
     assert capsys.readouterr().err.startswith(
-        f"error: {tree}: bad subject id '../../escaped'")
+        f"error: {tree}:1:1: bad subject id '../../escaped'")
     assert not list(tmp_path.rglob("*escaped*")) and not out.exists()
 
 
@@ -710,7 +746,7 @@ def test_apply_edits_rejects_a_subject_its_script_lines_cannot_name(tmp_path, ca
     out = tmp_path / "fixed"
     assert run("apply-edits", str(corpus), "--script", str(script),
                "--out-dir", str(out)) == EXIT_DATA_ERROR
-    assert capsys.readouterr().err.startswith(f"error: {tree}: bad subject id '#x'")
+    assert capsys.readouterr().err.startswith(f"error: {tree}:1:1: bad subject id '#x'")
     assert not out.exists()
 
 
@@ -759,7 +795,7 @@ def test_names_at_the_grammar_edges_pass_every_command(subject, node_ids, seed, 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "ages.tsv").write_text(f"subject\tage\n{subject}\t61.5000\n")
-        assert _read_covariates(tmp / "ages.tsv") == {subject: 61.5}
+        assert _read(tmp / "ages.tsv", _read_covariates) == {subject: 61.5}
         name = f"{subject}_{region.value}.dltree"
         vess, corpus = tmp / "in.vess", tmp / "corpus"
         vess.write_bytes(serialize_vess(random_vess_graph(rng, max_segments=8,

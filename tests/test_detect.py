@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dlview.core import BinaryNode, BinaryTree, Region
-from dlview.ingest import parse_dltree
+from dlview.ingest import ParseError, parse_dltree
 from dlview.detect import (
     DetectorConfig,
     FlagKind,
@@ -315,8 +315,18 @@ def test_flags_tsv_skips_only_its_own_header():
     assert flags_from_tsv(row + "\n") == [FlagRecord("subject", Region.BACK, FlagKind.VEIN, "n1", 0.5)]
     assert flags_from_tsv(flags_to_tsv([]) + row + "\n") == flags_from_tsv(row + "\n")
     # a foreign header is a bad row 1
-    with pytest.raises(ValueError, match="^line 1: not enough values to unpack"):
+    with pytest.raises(ParseError, match="^not enough values to unpack") as exc:
         flags_from_tsv("subject\tregion\tkind\tnode\n" + row + "\n")
+    assert (exc.value.line, exc.value.col) == (1, None)
+
+
+def test_a_flags_row_carries_its_line_outside_equality():
+    text = flags_to_tsv([]) + "\ns\tB\tVein\tn1\t0.5\r\ns\tL\tVein\tn2\tinf\n"
+    records = flags_from_tsv(text)
+    assert [r.lineno for r in records] == [3, 4]
+    assert records == [FlagRecord("s", Region.BACK, FlagKind.VEIN, "n1", 0.5),
+                       FlagRecord("s", Region.LEFT, FlagKind.VEIN, "n2", math.inf)]
+    assert len({*records, *flags_from_tsv(flags_to_tsv(records))}) == 2
 
 
 def test_config_validation():

@@ -18,7 +18,7 @@ from dlview.edit import (
     parse_script,
     trim_root,
 )
-from dlview.ingest import parse_dltree, serialize_dltree
+from dlview.ingest import ParseError, parse_dltree, serialize_dltree
 from dlview.synth import GenParams, generate_tree, inject_anomaly
 
 from conftest import random_binary_tree
@@ -148,6 +148,21 @@ def test_apply_script_exclude_and_errors():
         apply_script(corpus, [ScriptLine("s02", Region.LEFT, DeleteLeaf("a"))])
     with pytest.raises(EditScriptError):
         apply_script(corpus, [ScriptLine("s02", Region.BACK, DeleteLeaf("zz"))])
+
+
+def test_script_errors_are_parse_errors_at_their_line():
+    with pytest.raises(EditScriptError, match="^unknown operation 'FROB'$") as exc:
+        parse_script("# fix\ns B FROB n1\n")
+    assert isinstance(exc.value, ParseError) and (exc.value.line, exc.value.col) == (2, None)
+    script = parse_script("s B DELETE_SUBTREE b\n\ns B DELETE_LEAF a\n")
+    # deleting b merges its parent r with a, so a is gone
+    with pytest.raises(EditScriptError, match="^node 'a' not in s/B$") as exc:
+        apply_script({("s", "B"): three_node()}, script)
+    assert (exc.value.line, exc.value.col) == (3, None)
+    # a line built in code has no place in a file
+    with pytest.raises(EditScriptError, match="^node 'zz' not in s/B$") as exc:
+        apply_script({("s", "B"): three_node()}, [ScriptLine("s", Region.BACK, TrimRoot("zz"))])
+    assert exc.value.line == 0
 
 
 def test_untouched_trees_pass_through_bit_identically():

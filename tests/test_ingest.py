@@ -57,8 +57,9 @@ CONNECT 1 2
 CONNECT 2 1
 ROOT 1
 """
-    with pytest.raises(ParseError, match=r"^CONNECT 2 1 closes a cycle \(line 10\)$"):
+    with pytest.raises(ParseError, match=r"^CONNECT 2 1 closes a cycle$") as exc:
         parse_vess(text)
+    assert (exc.value.line, exc.value.col) == (10, None)
 
 
 def test_vess_median_radius_feeds_thickness():
@@ -79,17 +80,19 @@ ROOT 9
 
 
 def test_vess_error_classes():
-    for text, message in [
-        ("HEADER only_one_field\n", "HEADER needs <subject_id> <region> (line 1)"),
-        ("HEADER s B\nWHAT 1 2\n", "unknown record 'WHAT' (line 2)"),
-        ("HEADER s B\nSEGMENT 1 p1 p2\nROOT 1\n", "unknown point id 'p1' (line 2)"),
+    for text, message, line in [
+        ("HEADER only_one_field\n", "HEADER needs <subject_id> <region>", 1),
+        ("HEADER s B\nWHAT 1 2\n", "unknown record 'WHAT'", 2),
+        ("HEADER s B\nSEGMENT 1 p1 p2\nROOT 1\n", "unknown point id 'p1'", 2),
         ("HEADER s B\nPOINT p1 0 0 0 1\nSEGMENT 1 p1\nROOT 1\n",
-         "segment '1' has 1 point(s), needs >= 2 (line 3)"),
-        ("HEADER s B\nPOINT p1 0 0 0 0.0\n", "point 'p1' has radius 0.0 <= 0 (line 2)"),
-        ("HEADER s B\nPOINT p1 0 0 0 1\nPOINT p1 0 0 0 1\n", "duplicate point id 'p1' (line 3)"),
+         "segment '1' has 1 point(s), needs >= 2", 3),
+        ("HEADER s B\nPOINT p1 0 0 0 0.0\n", "point 'p1' has radius 0.0 <= 0", 2),
+        ("HEADER s B\nPOINT p1 0 0 0 1\nPOINT p1 0 0 0 1\n", "duplicate point id 'p1'", 3),
+        ("# no header\n", "missing HEADER record", 0),
     ]:
-        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as exc:
             parse_vess(text)
+        assert (exc.value.line, exc.value.col) == (line, None)
 
 
 def test_vess_reports_line_numbers():
@@ -97,21 +100,22 @@ def test_vess_reports_line_numbers():
         parse_vess("HEADER s B\nPOINT p1 0 0 0 -1\n")
     except ParseError as e:
         assert e.line == 2
-        assert (e.col, str(e)) == (None, "point 'p1' has radius -1.0 <= 0 (line 2)")
+        assert (e.col, str(e)) == (None, "point 'p1' has radius -1.0 <= 0")
     else:
         pytest.fail("expected ParseError")
     # a form feed ends a record but not a line
     with pytest.raises(ParseError, match="'p2' has radius -1.0") as exc:
         parse_vess("HEADER s B\nPOINT p1 0 0 0 1\x0cPOINT p2 0 0 0 -1\n")
     assert exc.value.line == 2
-    with pytest.raises(ParseError, match=r"^point 'p2' has radius -1.0 <= 0 \(line 3\)$") as exc:
+    with pytest.raises(ParseError, match=r"^point 'p2' has radius -1.0 <= 0$") as exc:
         parse_vess("HEADER s B\r\n\rPOINT p1 0 0 0 1\u2028\x85POINT p2 0 0 0 -1\r\n")
     assert exc.value.line == 3
 
 
 def test_vess_second_header_is_an_error_at_its_line():
-    with pytest.raises(ParseError, match=r"more than one HEADER record \(line 6\)"):
+    with pytest.raises(ParseError, match=r"^more than one HEADER record$") as exc:
         parse_vess(MINIMAL_VESS.replace("ROOT 1\n", "# c\nHEADER t F\nROOT 1\n"))
+    assert exc.value.line == 6
 
 
 def test_vess_root_with_a_parent_names_the_later_record():
@@ -176,18 +180,18 @@ def test_parse_dltree_phantom_root():
 
 
 def test_dltree_error_classes():
-    for text, message in [
-        ("HEADER s B\n(r:1,(a:1),(b:1),(c:1))\n", "node 'r' has 3 children (line 2, col 23)"),
-        ("HEADER s B\n(r:1,(a:1),(a:2))\n", "duplicate node_id 'a' (line 2, col 12)"),
-        ("HEADER s B\n(r:-1)\n", "node 'r' has negative thickness (line 2, col 4)"),
-        ("HEADER s B\n(r:1\n", "expected ')' (line 2, col 5)"),
-        ("(r:1)\n",
-         "first non-comment line must be HEADER <subject_id> <region> (line 1, col 1)"),
-        ("", "empty .dltree file"),
-        ("# a comment\n\n", "empty .dltree file"),
+    for text, message, place in [
+        ("HEADER s B\n(r:1,(a:1),(b:1),(c:1))\n", "node 'r' has 3 children", (2, 23)),
+        ("HEADER s B\n(r:1,(a:1),(a:2))\n", "duplicate node_id 'a'", (2, 12)),
+        ("HEADER s B\n(r:-1)\n", "node 'r' has negative thickness", (2, 4)),
+        ("HEADER s B\n(r:1\n", "expected ')'", (2, 5)),
+        ("(r:1)\n", "first non-comment line must be HEADER <subject_id> <region>", (1, 1)),
+        ("", "empty .dltree file", (0, None)),
+        ("# a comment\n\n", "empty .dltree file", (0, None)),
     ]:
-        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$") as exc:
             parse_dltree(text)
+        assert (exc.value.line, exc.value.col) == place
 
 
 def test_dltree_tree_check_errors_take_class_and_node_from_the_check():
@@ -328,14 +332,14 @@ def test_dltree_errors_name_the_files_own_line_and_column():
         parse_dltree("# one\n# two\n  HEADER s\n(r:1)\n")
     assert (exc.value.line, exc.value.col) == (3, 3)
     # a repeated id is reported at its second node
-    with pytest.raises(ParseError, match=r"^duplicate node_id 'a' \(line 4, col 3\)$") as exc:
+    with pytest.raises(ParseError, match=r"^duplicate node_id 'a'$") as exc:
         parse_dltree("HEADER s B\n(r:1,\n  (a:1),\n  (a:2))\n")
     assert (exc.value.line, exc.value.col) == (4, 3)
     # a form feed joins the body like a line break, but the line goes on
-    with pytest.raises(ParseError, match="^node 'b' has negative thickness ") as exc:
+    with pytest.raises(ParseError, match="^node 'b' has negative thickness$") as exc:
         parse_dltree("HEADER s B\n(a:1.0,\x0c(b:-1.0))\n")
     assert (exc.value.line, exc.value.col) == (2, 12)
-    with pytest.raises(ParseError, match="^node 'b' has negative thickness ") as exc:
+    with pytest.raises(ParseError, match="^node 'b' has negative thickness$") as exc:
         parse_dltree("HEADER s B\r\n\r  (a:1.0,\x1e\t(b:-1.0))\n")
     assert (exc.value.line, exc.value.col) == (3, 15)
     # a tree cut short is reported just after its last token
@@ -351,7 +355,7 @@ def test_dltree_thickness_past_float_range_is_located():
     with pytest.raises(ParseError, match="node 'b' has a thickness out of float range") as exc:
         parse_dltree(f"HEADER s B\n(a:1.0,(b:{HUGE}))\n")
     assert (exc.value.line, exc.value.col) == (2, 11)
-    with pytest.raises(ParseError, match="^node 'b' has a thickness out of float range ") as exc:
+    with pytest.raises(ParseError, match="^node 'b' has a thickness out of float range$") as exc:
         parse_dltree(f"HEADER s B\n# note\n(a:1.0,\n  (b:\t{HUGE}))\n")
     assert (exc.value.line, exc.value.col) == (4, 7)
 
@@ -671,8 +675,7 @@ def test_an_id_used_above_its_definition_goes_to_the_walker(use, definition, bou
     assert _read_vess(text) is None
     walker = _vess_outcome(_walk_vess, text)
     kind, name = definition.split()[:2]  # the id the use names before it exists
-    assert walker == (ParseError, f"unknown {kind.lower()} id {name!r} (line {use_at + 1})",
-                      use_at + 1)
+    assert walker == (ParseError, f"unknown {kind.lower()} id {name!r}", use_at + 1)
     assert _vess_outcome(parse_vess, text) == walker
 
 
